@@ -297,7 +297,10 @@ def _moment_rows(cfg: RunConfig, family: str) -> list[dict]:
             f"unknown family {family!r}; choose from {moments.FAMILIES}")
     quantities = (moments.PINNED_QUANTITIES if family == "pinned"
                   else moments.ANGLE_ONLY_QUANTITIES)
-    return [_moment_row(cfg, family, i, q) for i, q in enumerate(quantities)]
+    try:
+        return [_moment_row(cfg, family, i, q) for i, q in enumerate(quantities)]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_moments(cfg: RunConfig, family: str) -> int:

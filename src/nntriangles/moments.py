@@ -269,16 +269,30 @@ _INNER_T = (_PI / 2.0) * ((np.arange(_INNER_PANELS)[:, None] + 0.5
 _INNER_W = np.tile((_PI / 4.0) * _INNER_WEIGHTS / _INNER_PANELS, _INNER_PANELS)
 _INNER_SIN2 = np.sin(_INNER_T)**2
 _INNER_JAC = np.sin(2.0 * _INNER_T)
+_INNER_JW = _INNER_JAC * _INNER_W
+
+
+# Rows per slice of the inner rule: keeps its (rows, 96) temporaries in
+# cache, which halves the time per node against whole-batch arrays.
+_INNER_ROWS = 256
 
 
 def _inner_a_integral(weight, b, c, a_lo, a_hi):
-    """Vectorized fixed-rule integral over a of weight * trivariate density."""
-    lo = a_lo[:, None]
-    width = (a_hi - a_lo)[:, None]
-    a = lo + width * _INNER_SIN2[None, :]
-    vals = weight(a, b[:, None], c[:, None]) * density.pdf_pinned_sides_joint(
-        a, b[:, None], c[:, None])
-    return (vals * (width * _INNER_JAC[None, :] * _INNER_W[None, :])).sum(axis=1)
+    """Fixed-rule integral over a of weight * trivariate density, per row.
+
+    Needs 0 < c < b and [a_lo, a_hi] inside [b - c, b + c], so every node is
+    interior to the support; the a-independent factor 8 pi b c exp(-pi b^2)
+    of the density is applied once per row instead of once per node.
+    """
+    width = a_hi - a_lo
+    rule = np.empty(len(b))
+    for start in range(0, len(b), _INNER_ROWS):
+        i = slice(start, start + _INNER_ROWS)
+        a = a_lo[i, None] + width[i, None] * _INNER_SIN2[None, :]
+        B, C = b[i, None], c[i, None]
+        heron = (a + B + C) * (-a + B + C) * (a - B + C) * (a + B - C)
+        rule[i] = (weight(a, B, C) * a / np.sqrt(heron)) @ _INNER_JW
+    return 8.0 * _PI * b * c * np.exp(-_PI * b * b) * width * rule
 
 
 def _combine(results: list[IntegralResult]) -> IntegralResult:
@@ -302,8 +316,7 @@ def _pinned_triple(weight, tol: float, pieces=("short_a", "long_a")) -> list[Int
 
     def over(c_bounds, a_limits) -> IntegralResult:
         def f(b, c):
-            a_lo, a_hi = a_limits(b, c)
-            return _inner_a_integral(weight, np.full_like(c, b), c, a_lo, a_hi)
+            return _inner_a_integral(weight, b, c, *a_limits(b, c))
         return integrate_2d(f, 0.0, b_hi, c_bounds, spec)
 
     results = []

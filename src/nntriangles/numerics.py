@@ -5,6 +5,15 @@ Self-contained on purpose: numpy and the standard library only.  Integrands
 must be vectorized -- they receive a 1-D ndarray of abscissae and return an
 array of the same shape.
 
+One adaptive engine serves every integral.  :func:`integrate_batch` advances
+many independent integrals together, calling its integrand f(x, owner) once
+per refinement sweep with the abscissae of every unfinished integral and the
+index of the integral each belongs to; each integral still follows the
+single-integral refinement rules on its own panels, as if it ran alone.
+:func:`integrate_1d` is the one-integral case, and :func:`integrate_2d` runs
+the inner integrals of each outer sweep as one batch, so its f(x, y) must
+broadcast in both arguments.
+
 The panel rule is the classic 15-point Kronrod extension of 7-point Gauss,
 with the QUADPACK-style error estimate.  Inverse-square-root endpoint
 singularities are removed exactly by the substitution x = a + (b-a) sin^2(t),
@@ -21,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "CATALAN",
+    "BatchResult",
     "IntegralResult",
     "IntegrandError",
     "MonotoneCubic",
@@ -31,6 +41,7 @@ __all__ = [
     "gaussian_tail_cutoff",
     "integrate_1d",
     "integrate_2d",
+    "integrate_batch",
 ]
 
 # Catalan's constant, sum_k (-1)^k / (2k+1)^2.
@@ -122,6 +133,23 @@ class IntegralResult:
     neval: int = 0
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """Per-integral arrays of one :func:`integrate_batch` call; entry k holds
+    what an :class:`IntegralResult` holds for the k-th integral."""
+
+    value: np.ndarray
+    error: np.ndarray
+    subdivisions: np.ndarray
+    converged: np.ndarray
+    neval: np.ndarray
+
+    def __getitem__(self, k: int) -> IntegralResult:
+        return IntegralResult(float(self.value[k]), float(self.error[k]),
+                              int(self.subdivisions[k]), bool(self.converged[k]),
+                              int(self.neval[k]))
+
+
 def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     """Apply the G7-K15 pair to each [lo_i, hi_i]; return values and errors."""
     mid = 0.5 * (lo + hi)
@@ -143,41 +171,116 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return value, err
 
 
-def _adaptive(f: Callable, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+def _pairwise_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis in the pairwise order of ``ndarray.sum``.
+
+    Each row comes out bit for bit as ``row.sum()`` would, so an integral's
+    total does not depend on how many others share its sweep, and a batch of
+    one reproduces the panel sums of a lone integral exactly.
+    """
+    n = x.shape[-1]
+    if n < 8:
+        out = np.zeros(x.shape[:-1])
+        for i in range(n):
+            out = out + x[..., i]
+        return out
+    if n <= 128:
+        m = n - n % 8
+        r = x[..., :m].reshape(*x.shape[:-1], m // 8, 8).sum(axis=-2)
+        out = (((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3]))
+               + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])))
+        for i in range(m, n):
+            out = out + x[..., i]
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sums(x[..., :half]) + _pairwise_sums(x[..., half:])
+
+
+def _segment_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """x[..., s:s+n] summed for every segment (s, n), grouped by length."""
+    out = np.empty(x.shape[:-1] + starts.shape)
+    for n in np.flatnonzero(np.bincount(sizes)):
+        pick = sizes == n
+        out[..., pick] = _pairwise_sums(x[..., starts[pick, None] + np.arange(n)])
+    return out
+
+
+def _adaptive(f: Callable, a: np.ndarray, b: np.ndarray, spec: QuadratureSpec) -> BatchResult:
+    """Advance the integrals of f over (a[k], b[k]) together.
+
+    Every sweep evaluates the new panels of every unfinished integral with
+    one call f(x, owner), owner[i] being the k that x[i] belongs to.  Each
+    integral follows the single-integral rules on its own panels: it stops
+    once its summed error meets max(abs_tol, rel_tol * |value|) or is not
+    finite, or when its subdivision budget is spent; otherwise each of its n
+    panels with error above tol / (2 n) is bisected -- at least the worst
+    one, and no more than the budget allows, worst first.  Panels stay
+    grouped by owner in the order a lone integral keeps them.
+    """
+    count = len(a)
     n0 = max(1, spec.initial_panels)
-    edges = np.linspace(a, b, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    value, err = _eval_panels(f, lo, hi)
-    neval = 15 * n0
-    nsub = 0
+    edges = np.linspace(a, b, n0 + 1, axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.repeat(np.arange(count), n0)
+    value, err = _eval_panels(lambda x: f(x, np.repeat(owner, 15)), lo, hi)
+    total = np.zeros(count)
+    total_err = np.zeros(count)
+    converged = np.zeros(count, dtype=bool)
+    nsub = np.zeros(count, dtype=int)
+    neval = np.full(count, 15 * n0)
     while True:
-        total = float(value.sum())
-        total_err = float(err.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol or not math.isfinite(total_err):
-            return IntegralResult(total, total_err, nsub, math.isfinite(total_err) and total_err <= tol, neval)
-        budget = spec.max_subdivisions - nsub
-        if budget <= 0:
-            return IntegralResult(total, total_err, nsub, False, neval)
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        sizes = np.diff(starts, append=owner.size)
+        ids = owner[starts]
+        sums, errs = _segment_sums(np.stack([value, err]), starts, sizes)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(sums))
+        met = errs <= tol
+        budget = spec.max_subdivisions - nsub[ids]
+        done = met | ~np.isfinite(errs) | (budget <= 0)
+        total[ids[done]] = sums[done]
+        total_err[ids[done]] = errs[done]
+        converged[ids[done]] = met[done]
+        if done.all():
+            break
         # Split every panel carrying more than its fair share of the error;
-        # at least the worst one always qualifies.
-        idx = np.nonzero(err > tol / (2.0 * len(value)))[0]
-        if len(idx) == 0:
-            idx = np.array([int(np.argmax(err))])
-        if len(idx) > budget:
-            idx = idx[np.argsort(err[idx])[::-1][:budget]]
-        mid = 0.5 * (lo[idx] + hi[idx])
-        new_lo = np.concatenate([lo[idx], mid])
-        new_hi = np.concatenate([mid, hi[idx]])
-        new_val, new_err = _eval_panels(f, new_lo, new_hi)
-        neval += 15 * len(new_lo)
-        keep = np.ones(len(value), dtype=bool)
-        keep[idx] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        value = np.concatenate([value[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-        nsub += len(idx)
+        # the per-integral fallbacks below are rare and run one by one.
+        live = np.repeat(~done, sizes)
+        split = live & (err > np.repeat(tol / (2.0 * sizes), sizes))
+        picked = np.add.reduceat(split, starts)
+        special = np.flatnonzero(~done & ((picked == 0) | (picked > budget)))
+        regular = ~done
+        regular[special] = False
+        chosen = [np.flatnonzero(split & np.repeat(regular, sizes))]
+        for i in special:
+            s = starts[i]
+            seg = err[s:s + sizes[i]]
+            idx = np.flatnonzero(split[s:s + sizes[i]])
+            if len(idx) == 0:
+                idx = np.array([int(np.argmax(seg))])
+            if len(idx) > budget[i]:
+                idx = idx[np.argsort(seg[idx])[::-1][:budget[i]]]
+            chosen.append(s + idx)
+        sel = np.concatenate(chosen)
+        mid = 0.5 * (lo[sel] + hi[sel])
+        new_lo = np.concatenate([lo[sel], mid])
+        new_hi = np.concatenate([mid, hi[sel]])
+        new_owner = np.concatenate([owner[sel], owner[sel]])
+        new_val, new_err = _eval_panels(lambda x: f(x, np.repeat(new_owner, 15)), new_lo, new_hi)
+        split_count = np.bincount(owner[sel], minlength=count)
+        nsub += split_count
+        neval += 30 * split_count
+        # Kept panels, then the new halves, regrouped by owner (stably, so
+        # each integral's panels keep the order a lone run gives them).
+        keep = live
+        keep[sel] = False
+        owner = np.concatenate([owner[keep], new_owner])
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        lo = np.concatenate([lo[keep], new_lo])[order]
+        hi = np.concatenate([hi[keep], new_hi])[order]
+        value = np.concatenate([value[keep], new_val])[order]
+        err = np.concatenate([err[keep], new_err])[order]
+    return BatchResult(total, total_err, nsub, converged, neval)
 
 
 def gaussian_tail_cutoff(scale: float, degree: int = 0, tail_fraction: float = 1e-16) -> float:
@@ -198,6 +301,61 @@ def gaussian_tail_cutoff(scale: float, degree: int = 0, tail_fraction: float = 1
         t *= 1.05
 
 
+def integrate_batch(f: Callable, a, b, spec: QuadratureSpec | None = None) -> BatchResult:
+    """Integrate f over (a[k], b[k]) for every k at once, b possibly infinite.
+
+    f(x, owner) receives the abscissae of every unfinished integral in one
+    1-D array, owner[i] being the k that x[i] belongs to, and returns an
+    array shaped like x.  Each integral is refined exactly as
+    :func:`integrate_1d` refines it alone; an empty interval (b[k] <= a[k])
+    gives a converged zero without evaluating f.  Infinite upper limits must
+    be shared by the whole batch.
+    """
+    spec = spec or QuadratureSpec()
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    count = len(a)
+    run = np.flatnonzero(~(b <= a))
+    out = BatchResult(np.zeros(count), np.zeros(count), np.zeros(count, dtype=int),
+                      np.ones(count, dtype=bool), np.zeros(count, dtype=int))
+    if run.size == 0:
+        return out
+    lo, hi = a[run], b[run]
+
+    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return f(x, run[k])
+
+    infinite = np.isinf(hi)
+    if infinite.any():
+        if not infinite.all():
+            raise ValueError("a batch cannot mix finite and infinite upper limits")
+        if spec.singularity != "none":
+            raise ValueError("endpoint singularity flags require a finite interval")
+        if spec.gaussian_decay_scale is not None:
+            cut = gaussian_tail_cutoff(spec.gaussian_decay_scale, spec.gaussian_decay_degree)
+            r = _adaptive(g, lo, np.maximum(cut, lo + 1.0), spec)
+        else:
+            def mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+                u = 1.0 - t
+                return g(lo[k] + t / u, k) / (u * u)
+
+            r = _adaptive(mapped, np.zeros(run.size), np.ones(run.size), spec)
+    elif spec.singularity != "none":
+        w = hi - lo
+
+        def desingularized(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+            st = np.sin(t)
+            return g(lo[k] + w[k] * st * st, k) * w[k] * np.sin(2.0 * t)
+
+        r = _adaptive(desingularized, np.zeros(run.size),
+                      np.full(run.size, 0.5 * math.pi), spec)
+    else:
+        r = _adaptive(g, lo, hi, spec)
+    for name in ("value", "error", "subdivisions", "converged", "neval"):
+        getattr(out, name)[run] = getattr(r, name)
+    return out
+
+
 def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> IntegralResult:
     """Integrate a vectorized integrand over (a, b), b possibly infinite.
 
@@ -205,30 +363,7 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     subdivisions spent, and whether the requested tolerance was met.  The
     integrand is never evaluated exactly at the endpoints.
     """
-    spec = spec or QuadratureSpec()
-    if b <= a:
-        return IntegralResult(0.0, 0.0, 0, True, 0)
-    if math.isinf(b):
-        if spec.singularity != "none":
-            raise ValueError("endpoint singularity flags require a finite interval")
-        if spec.gaussian_decay_scale is not None:
-            cut = gaussian_tail_cutoff(spec.gaussian_decay_scale, spec.gaussian_decay_degree)
-            return _adaptive(f, a, max(cut, a + 1.0), spec)
-
-        def mapped(t: np.ndarray) -> np.ndarray:
-            u = 1.0 - t
-            return f(a + t / u) / (u * u)
-
-        return _adaptive(mapped, 0.0, 1.0, spec)
-    if spec.singularity != "none":
-        w = b - a
-
-        def desingularized(t: np.ndarray) -> np.ndarray:
-            st = np.sin(t)
-            return f(a + w * st * st) * w * np.sin(2.0 * t)
-
-        return _adaptive(desingularized, 0.0, 0.5 * math.pi, spec)
-    return _adaptive(f, a, b, spec)
+    return integrate_batch(lambda x, owner: f(x), a, b, spec)[0]
 
 
 def integrate_2d(
@@ -241,9 +376,13 @@ def integrate_2d(
 ) -> IntegralResult:
     """Iterated integral of f(x, y) over x in (x_lo, x_hi), y in y_bounds(x).
 
-    f must be vectorized in its second argument.  The inner integrals run at
-    a tighter tolerance than the outer one; the reported error adds a
-    conservative allowance for them.
+    y_bounds takes one float x and returns (lo, hi).  f must broadcast in
+    both arguments: each outer sweep runs the inner integrals of all its
+    outer abscissae as one batch, calling f with two equal-length arrays
+    that pair every inner abscissa y with the x of its integral.  The inner
+    integrals run at a tighter tolerance than the outer one; the reported
+    error adds a conservative allowance for them, and ``neval`` and
+    ``subdivisions`` count the inner work as well as the outer.
     """
     spec = spec or QuadratureSpec()
     if inner_spec is None:
@@ -253,26 +392,25 @@ def integrate_2d(
             max_subdivisions=spec.max_subdivisions,
             initial_panels=spec.initial_panels,
         )
-    inner_err = [0.0]
-    inner_ok = [True]
+    inner_err, inner_ok, inner_neval, inner_subdivisions = 0.0, True, 0, 0
 
-    def outer_integrand(xs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            lo, hi = y_bounds(float(x))
-            r = integrate_1d(lambda y: f(float(x), y), lo, hi, inner_spec)
-            inner_err[0] = max(inner_err[0], r.error)
-            inner_ok[0] = inner_ok[0] and r.converged
-            out[i] = r.value
-        return out
+    def outer_integrand(xs: np.ndarray, _owner: np.ndarray) -> np.ndarray:
+        nonlocal inner_err, inner_ok, inner_neval, inner_subdivisions
+        bounds = np.array([y_bounds(float(x)) for x in xs], dtype=float)
+        r = integrate_batch(lambda y, k: f(xs[k], y), bounds[:, 0], bounds[:, 1], inner_spec)
+        inner_err = max(inner_err, float(r.error.max()))
+        inner_ok = inner_ok and bool(r.converged.all())
+        inner_neval += int(r.neval.sum())
+        inner_subdivisions += int(r.subdivisions.sum())
+        return r.value
 
-    outer = _adaptive(outer_integrand, x_lo, x_hi, spec)
+    outer = integrate_batch(outer_integrand, x_lo, x_hi, spec)[0]
     return IntegralResult(
         outer.value,
-        outer.error + inner_err[0] * (x_hi - x_lo),
-        outer.subdivisions,
-        outer.converged and inner_ok[0],
-        outer.neval,
+        outer.error + inner_err * (x_hi - x_lo),
+        outer.subdivisions + inner_subdivisions,
+        outer.converged and inner_ok,
+        outer.neval + inner_neval,
     )
 
 

@@ -42,6 +42,13 @@ _U64_MAX = 2**64 - 1
 # already below 1e-80; failure at 10 indicates a broken generator.
 ORACLE_RADII = (2.0, 4.0, 8.0, 10.0)
 
+# Draw rounds a direct sampler spends on one batch before giving up.  A row
+# rounds degenerate about 1.5 times per million draws (19 redraws for the
+# 12.5M rows of a default verify run), so a row still degenerate after 10
+# rounds has probability below 1e-50; reaching the cap indicates a broken
+# sampler.
+MAX_DRAW_ROUNDS = 10
+
 FAMILIES = ("pinned", "staked", "anchored", "uniformT")
 
 
@@ -209,14 +216,17 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
     """Draw rows with ``attempt``, redrawing any that round degenerate.
 
     ``attempt(count, generator)`` returns (vertices, angles-or-None); when
-    angles is None they are recomputed from the side lengths.
+    angles is None they are recomputed from the side lengths.  Raises
+    RuntimeError if rows are still degenerate after MAX_DRAW_ROUNDS rounds.
     """
     if n < 0:
         raise ValueError(f"sample count must be nonnegative: {n}")
     vertices = np.empty((n, 6))
     angles = np.empty((n, 3))
     pending = np.arange(n)
-    while pending.size:
+    for _ in range(MAX_DRAW_ROUNDS):
+        if not pending.size:
+            break
         verts, angs = attempt(pending.size, rng.generator)
         sides = _sides_from_vertices(verts)
         good = _valid_rows(verts, sides)
@@ -229,6 +239,10 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
         angles[rows] = angs[good]
         rng.resamples += int(pending.size - rows.size)
         pending = pending[~good]
+    if pending.size:
+        raise RuntimeError(
+            f"{family} sampler: {pending.size} rows still degenerate after "
+            f"{MAX_DRAW_ROUNDS} draw rounds")
     sides = _sides_from_vertices(vertices)
     return SampleBatch(family, vertices, sides, angles)
 

@@ -55,6 +55,7 @@ from .numerics import (
     gaussian_tail_cutoff,
     integrate_1d,
     integrate_2d,
+    integrate_batch,
 )
 from .sampler import RandomStream, sample_batch, sample_pinned_oracle_batch
 
@@ -156,16 +157,23 @@ def _univariate_mass(kind, tol: float) -> float:
     return total
 
 
-def _pair_ac_fixed(a: float, c) -> np.ndarray:
+def _pair_ac_fixed(a, c) -> np.ndarray:
     """The (a, c) joint evaluated by the fixed endpoint-desingularized rule
-    (the b-integral under b = lo + (hi-lo) sin^2 t); vectorized over c."""
-    c = np.asarray(c, dtype=float)
+    (the b-integral under b = lo + (hi-lo) sin^2 t); broadcasts a and c, and
+    runs in row slices as moments._inner_a_integral does."""
+    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
+    shape = a.shape
+    a, c = a.ravel(), c.ravel()
     lo = np.maximum(c, a - c)
     width = a + c - lo
-    b = lo[:, None] + width[:, None] * moments._INNER_SIN2[None, :]
-    vals = pdf_pinned_sides_joint(a, b, c[:, None])
-    return (vals * (width[:, None] * moments._INNER_JAC[None, :]
-                    * moments._INNER_W[None, :])).sum(axis=1)
+    out = np.empty(a.size)
+    for start in range(0, a.size, moments._INNER_ROWS):
+        i = slice(start, start + moments._INNER_ROWS)
+        b = lo[i, None] + width[i, None] * moments._INNER_SIN2
+        vals = pdf_pinned_sides_joint(a[i, None], b, c[i, None])
+        out[i] = (vals * (width[i, None] * moments._INNER_JAC
+                          * moments._INNER_W)).sum(axis=1)
+    return out.reshape(shape)
 
 
 def _pair_ac_mass(tol: float) -> float:
@@ -184,69 +192,45 @@ def _pair_ac_mass(tol: float) -> float:
 def _pair_ac_pointwise_deviation() -> float:
     """Registered adaptive form of the (a, c) joint against the fixed rule
     at scattered interior points."""
-    worst = 0.0
-    for a in (0.3, 0.7, 1.1, 1.7, 2.3):
-        for frac in (0.05, 0.3, 0.5, 0.8, 1.2, 2.0):
-            c = frac * a
-            fixed = float(_pair_ac_fixed(a, np.array([c]))[0])
-            worst = max(worst, abs(pdf_pair_ac(a, c, tol=1e-10) - fixed))
-    return worst
+    a = np.array([0.3, 0.7, 1.1, 1.7, 2.3])[:, None]
+    c = np.array([0.05, 0.3, 0.5, 0.8, 1.2, 2.0])[None, :] * a
+    return float(np.abs(pdf_pair_ac(a, c, tol=1e-10) - _pair_ac_fixed(a, c)).max())
 
 
 def _marginal_a_deviation(points: np.ndarray) -> float:
     """Trivariate -> a: integrate the (a, c) reduction over c and compare
     with the closed-form a density."""
     c_hi = gaussian_tail_cutoff(_PI, 2, 1e-11)
-    worst = 0.0
-    for x in points:
-        def inner(cs: np.ndarray, x=float(x)) -> np.ndarray:
-            return np.array([pdf_pair_ac(x, float(c), tol=1e-9) for c in cs])
+    r = integrate_batch(lambda cs, k: pdf_pair_ac(points[k], cs, tol=1e-9),
+                        np.zeros_like(points), np.full_like(points, c_hi),
+                        QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
+    return float(np.abs(r.value - pdf_pinned_a(points)).max())
 
-        val = integrate_1d(inner, 0.0, c_hi,
-                           QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8)).value
-        worst = max(worst, abs(val - pdf_pinned_a(float(x))))
-    return worst
+
+def _sides_joint_over_a(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The trivariate density integrated over a (collinearity-singular at
+    both ends) at each (b, c)."""
+    return integrate_batch(lambda a, k: pdf_pinned_sides_joint(a, b[k], c[k]),
+                           np.abs(b - c), b + c,
+                           QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
+                                          singularity="both")).value
 
 
 def _marginal_b_deviation(points: np.ndarray) -> float:
-    """Trivariate -> b: inner a (collinearity-singular at both ends), then c."""
-    worst = 0.0
-    for b in points:
-        def inner_c(cs: np.ndarray, b=float(b)) -> np.ndarray:
-            out = np.empty_like(cs)
-            for i, c in enumerate(cs):
-                f = lambda a: pdf_pinned_sides_joint(a, b, float(c))
-                out[i] = integrate_1d(
-                    f, abs(b - c), b + c,
-                    QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
-                                   singularity="both")).value
-            return out
-
-        val = integrate_1d(inner_c, 0.0, float(b),
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-        worst = max(worst, abs(val - pdf_pinned_b(float(b))))
-    return worst
+    """Trivariate -> b: inner a, then c over (0, b)."""
+    r = integrate_batch(lambda cs, k: _sides_joint_over_a(points[k], cs),
+                        np.zeros_like(points), points,
+                        QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    return float(np.abs(r.value - pdf_pinned_b(points)).max())
 
 
 def _marginal_c_deviation(points: np.ndarray) -> float:
     """Trivariate -> c: inner a, then b over (c, infinity-proxy)."""
     b_hi = gaussian_tail_cutoff(_PI, 3, 1e-12)
-    worst = 0.0
-    for c in points:
-        def inner_b(bs: np.ndarray, c=float(c)) -> np.ndarray:
-            out = np.empty_like(bs)
-            for i, b in enumerate(bs):
-                f = lambda a: pdf_pinned_sides_joint(a, float(b), c)
-                out[i] = integrate_1d(
-                    f, abs(b - c), b + c,
-                    QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
-                                   singularity="both")).value
-            return out
-
-        val = integrate_1d(inner_b, float(c), b_hi,
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-        worst = max(worst, abs(val - pdf_pinned_c(float(c))))
-    return worst
+    r = integrate_batch(lambda bs, k: _sides_joint_over_a(bs, points[k]),
+                        points, np.full_like(points, b_hi),
+                        QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    return float(np.abs(r.value - pdf_pinned_c(points)).max())
 
 
 def _angle_marginal_deviations() -> tuple[float, float, float]:

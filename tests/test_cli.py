@@ -184,6 +184,17 @@ def test_pdf_usage_errors(argv):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("point,expected", [("nan,1", "nan"), ("1,nan", "nan"),
+                                            ("inf,1", "0.0"), ("1,inf", "0.0"),
+                                            ("1e300,1", "0.0")])
+def test_pdf_pair_ac_edges_print_no_traceback(point, expected):
+    code, out, err = run_cli(["pdf", "--kind", "pair_ac_integral",
+                              "--points", point])
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[1].split(",")[-1] == expected
+
+
 def test_pdf_reaches_every_catalog_kind():
     probe = {1: ["--grid", "0.2:0.8:2"],
              2: ["--points", "0.7,0.9"],
@@ -235,6 +246,15 @@ def test_moments_pinned_divergent_markers():
 def test_moments_unknown_family():
     code, _, _ = run_cli(["moments", "--family", "uniformT"])
     assert code == 2  # no moment table for the uniform-angle family
+
+
+@pytest.mark.parametrize("argv", [["moments", "--family", "pinned", "-n", "500"],
+                                  ["tables", "-n", "500"]])
+def test_moment_commands_map_bad_sizes_to_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error:") and "n >= 1000" in err
+    assert "Traceback" not in err
 
 
 def test_tables_concatenates_families():

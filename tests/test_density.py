@@ -373,3 +373,25 @@ def test_pair_ac_matches_high_precision_quadrature(a, c):
 def test_pair_ac_outside_support():
     assert density.pdf_pair_ac(-1.0, 0.5) == 0.0
     assert density.pdf_pair_ac(0.5, 0.0) == 0.0
+
+
+def test_pair_ac_arrays_match_pointwise_calls():
+    a = np.array([0.3, 0.7, 1.1, 1.7, 2.3, -1.0])[:, None]
+    c = np.array([0.05, 0.3, 0.5, 0.8, 1.2, 2.0])[None, :]
+    values = density.pdf_pair_ac(a, c)
+    assert values.shape == (6, 6)
+    pointwise = [[density.pdf_pair_ac(float(x), float(y)) for y in c[0]] for x in a[:, 0]]
+    assert np.array_equal(values, np.array(pointwise))
+    assert np.all(values[:5] > 0.0) and np.all(values[5] == 0.0)
+
+
+def test_pair_ac_edges():
+    with np.errstate(all="raise"):
+        values = density.pdf_pair_ac(
+            np.array([np.nan, 1.0, np.inf, -np.inf, 1.0, 1e300, 1.0, 1e300, 40.0]),
+            np.array([1.0, np.nan, 1.0, 1.0, np.inf, 1.0, 1e300, 1e300, 0.5]))
+    assert np.isnan(values[:2]).all()
+    assert np.array_equal(values[2:], np.zeros(7))
+    assert math.isnan(density.pdf_pair_ac(math.nan, 1.0))
+    assert density.pdf_pair_ac(math.inf, 1.0) == 0.0
+    assert density.pdf_pair_ac(1e300, 1.0) == 0.0

@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from nntriangles import density, moments
 from nntriangles.numerics import (CATALAN, IntegrandError, MonotoneCubic,
-                                  QuadratureSpec, bessel_i0, erfc,
+                                  QuadratureSpec, _segment_sums, bessel_i0, erfc,
                                   fixed_panel_integrals, gaussian_tail_cutoff,
-                                  integrate_1d, integrate_2d)
+                                  integrate_1d, integrate_2d, integrate_batch)
 
 PI = math.pi
 
@@ -92,6 +93,148 @@ def test_integrate_2d_product_kernel():
     # int_0^2 x (1 - e^-x) dx = 2 - (1 - 3 e^-2)
     exact = 2.0 - (1.0 - 3.0 * math.exp(-2.0))
     assert r.value == pytest.approx(exact, abs=1e-10)
+
+
+def test_integrate_2d_counts_inner_work():
+    outer_nodes = []
+    inner_nodes = []
+
+    def bounds(x):
+        outer_nodes.append(x)
+        return 0.0, 1.0 - x
+
+    def f(x, y):
+        inner_nodes.append(y.size)
+        return np.ones_like(y)
+
+    r = integrate_2d(f, 0.0, 1.0, bounds, QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+    assert r.value == pytest.approx(0.5, abs=1e-11)
+    assert r.neval == len(outer_nodes) + sum(inner_nodes)
+    assert r.neval > len(outer_nodes) > 0
+
+
+def test_integrate_2d_integrand_sees_paired_arrays():
+    def f(x, y):
+        assert np.shape(x) == np.shape(y) and np.ndim(y) == 1
+        return x * y * np.exp(x - y)
+
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    r = integrate_2d(f, 0.0, 1.0, lambda x: (0.0, x), spec)
+    # inner: x e^x (1 - (1 + x) e^-x) = x e^x - x - x^2
+    exact = 1.0 - 0.5 - 1.0 / 3.0
+    assert r.converged
+    assert r.value == pytest.approx(exact, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# batched engine: K integrals at once behave as K separate ones
+# ---------------------------------------------------------------------------
+
+RATES = np.array([0.5, 1.0, 3.0, 7.0, 20.0])
+FREQS = np.array([1.0, 4.0, 9.0, 0.5, 25.0])
+
+
+def _wave(x, k):
+    return np.exp(-RATES[k] * x) * (1.5 + np.sin(FREQS[k] * x))
+
+
+def _assert_matches_separate(batch, lo, hi, spec, f=_wave):
+    for k in range(len(lo)):
+        alone = integrate_1d(lambda x: f(x, np.full(x.shape, k)), lo[k], hi[k], spec)
+        assert batch[k].value == pytest.approx(alone.value, rel=1e-15, abs=0.0)
+        assert batch[k].converged == alone.converged
+        assert batch[k].subdivisions == alone.subdivisions
+        assert batch[k].neval == alone.neval
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"singularity": "both"}])
+def test_batch_matches_separate_runs(kwargs):
+    lo = np.array([0.0, 0.2, -1.0, 0.0, 0.1])
+    hi = np.array([1.0, 3.0, 2.0, 10.0, 0.15])
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, **kwargs)
+    r = integrate_batch(_wave, lo, hi, spec)
+    assert r.converged.all()
+    assert len(set(r.subdivisions.tolist())) > 1
+    _assert_matches_separate(r, lo, hi, spec)
+
+
+def test_batch_infinite_limits_match_separate_runs():
+    lo = np.array([0.0, 1.0, 0.5])
+    hi = np.full(3, np.inf)
+    for spec in (QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+                 QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, gaussian_decay_scale=0.5)):
+        r = integrate_batch(_wave, lo, hi, spec)
+        _assert_matches_separate(r, lo, hi, spec)
+    with pytest.raises(ValueError):
+        integrate_batch(_wave, lo, np.array([1.0, np.inf, 2.0]))
+
+
+def test_batch_member_exhausting_its_budget():
+    def f(x, k):
+        return np.where(k == 1, 1.0 / np.sqrt(np.maximum(x, 1e-300)), _wave(x, k))
+
+    lo, hi = np.zeros(3), np.ones(3)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=12)
+    r = integrate_batch(f, lo, hi, spec)
+    assert r.converged.tolist() == [True, False, True]
+    assert r.subdivisions[1] == 12
+    _assert_matches_separate(r, lo, hi, spec, f)
+
+
+def test_batch_member_with_empty_interval():
+    seen = []
+
+    def f(x, k):
+        seen.append(k)
+        return _wave(x, k)
+
+    lo = np.array([0.0, 2.0, 0.0])
+    hi = np.array([1.0, 1.0, 2.0])
+    r = integrate_batch(f, lo, hi)
+    assert 1 not in np.concatenate(seen)
+    assert r[1].value == 0.0 and r[1].converged and r[1].neval == 0
+    _assert_matches_separate(r, lo, hi, QuadratureSpec())
+
+
+def test_batch_member_returning_nan_raises():
+    def f(x, k):
+        return np.where(k == 2, np.nan, _wave(x, k))
+
+    with pytest.raises(IntegrandError):
+        integrate_batch(f, np.zeros(3), np.ones(3))
+
+
+def test_segment_sums_match_ndarray_sum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 300, 60)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    x = rng.standard_normal((2, sizes.sum())) * np.exp(5.0 * rng.standard_normal(sizes.sum()))
+    sums = _segment_sums(x, starts, sizes)
+    for i, (s, n) in enumerate(zip(starts, sizes)):
+        assert sums[0, i] == x[0, s:s + n].sum()
+        assert sums[1, i] == x[1, s:s + n].sum()
+
+
+@pytest.mark.parametrize("weight", [lambda a, b, c: a * c,
+                                    lambda a, b, c: np.ones_like(a),
+                                    lambda a, b, c: (a * b) ** 2])
+def test_inner_a_integral_matches_catalog_density_rule(weight):
+    # the factored rule against the same nodes applied to the catalog density
+    rng = np.random.default_rng(3)
+    n = 700
+    b = 0.05 + 2.5 * rng.random(n)
+    c = b * (0.02 + 0.96 * rng.random(n))
+    a_lo = b - c + 0.3 * c * rng.random(n)
+    a_hi = b + c - 0.3 * c * rng.random(n)
+    fast = moments._inner_a_integral(weight, b, c, a_lo, a_hi)
+    width = (a_hi - a_lo)[:, None]
+    a = a_lo[:, None] + width * moments._INNER_SIN2[None, :]
+    vals = weight(a, b[:, None], c[:, None]) * density.pdf_pinned_sides_joint(
+        a, b[:, None], c[:, None])
+    reference = (vals * (width * moments._INNER_JAC[None, :]
+                         * moments._INNER_W[None, :])).sum(axis=1)
+    assert np.all(reference > 0.0)
+    np.testing.assert_allclose(fast, reference, rtol=1e-14, atol=0.0)
 
 
 def test_gaussian_tail_cutoff_is_sound():

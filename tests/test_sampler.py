@@ -234,6 +234,22 @@ def test_write_csv_to_path(tmp_path):
     assert text.count("\n") == 6
 
 
+def test_redraws_are_bounded():
+    calls = []
+
+    def collinear(count, gen):
+        calls.append(count)
+        assert len(calls) <= 100, "redraw loop has no bound"
+        verts = np.zeros((count, 6))
+        verts[:, 2] = 1.0
+        verts[:, 4] = 2.0
+        return verts, None
+
+    with pytest.raises(RuntimeError, match="staked"):
+        sampler._fill_batch("staked", 5, RandomStream(3), collinear)
+    assert calls == [5] * sampler.MAX_DRAW_ROUNDS
+
+
 # ---------------------------------------------------------------------------
 # process oracle
 # ---------------------------------------------------------------------------
