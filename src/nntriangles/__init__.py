@@ -28,8 +28,8 @@ from .moments import (EXPECTED_AC, MomentReport, MomentTarget, acuteness,
                       correlation_ab, expected_ac, moment_report,
                       reference_value, targets)
 from .numerics import IntegralResult, QuadratureSpec, integrate_1d, integrate_2d
-from .sampler import (FAMILIES, PlanarPoint, RandomStream, SampleBatch,
-                      TriangleSample, sample_batch, sample_pinned_oracle_batch)
+from .sampler import (FAMILIES, RandomStream, SampleBatch, sample_batch,
+                      sample_pinned_oracle_batch)
 from .verify import CheckResult, as_rows, run_suite, suite_passed
 
 __version__ = "0.1.0"
@@ -44,8 +44,8 @@ __all__ = [
     "by_monte_carlo", "by_quadrature", "closed_form", "correlation_ab",
     "expected_ac", "moment_report", "reference_value", "targets",
     "IntegralResult", "QuadratureSpec", "integrate_1d", "integrate_2d",
-    "FAMILIES", "PlanarPoint", "RandomStream", "SampleBatch", "TriangleSample",
-    "sample_batch", "sample_pinned_oracle_batch",
+    "FAMILIES", "RandomStream", "SampleBatch", "sample_batch",
+    "sample_pinned_oracle_batch",
     "CheckResult", "as_rows", "run_suite", "suite_passed",
     "__version__",
 ]

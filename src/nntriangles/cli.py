@@ -95,34 +95,9 @@ class PlotSpec:
             raise UsageError(f"empty plot range: {self.x_range}")
 
 
-# Which sampler statistic realizes each univariate density tag.
-_PLOT_SOURCES: dict[str, tuple[str, str]] = {
-    "pinned_a": ("pinned", "a"), "pinned_b": ("pinned", "b"),
-    "pinned_c": ("pinned", "c"), "pinned_alpha": ("pinned", "alpha"),
-    "pinned_beta": ("pinned", "beta"), "pinned_gamma": ("pinned", "gamma"),
-    "ratio_a_over_b": ("pinned", "a_over_b"),
-    "ratio_b_over_a": ("pinned", "b_over_a"),
-    "ratio_b_over_c": ("pinned", "b_over_c"),
-    "ratio_c_over_b": ("pinned", "c_over_b"),
-    "ratio_c_over_a": ("pinned", "c_over_a"),
-    "ratio_a_over_c": ("pinned", "a_over_c"),
-    "staked_alpha": ("staked", "alpha"), "staked_beta": ("staked", "beta"),
-    "anchored_alpha": ("anchored", "alpha"), "anchored_beta": ("anchored", "beta"),
-    "uT_side_a": ("uniformT", "a"), "uT_ratio": ("uniformT", "a_over_b"),
-    "uT_max": ("uniformT", "max_ab"), "uT_min": ("uniformT", "min_ab"),
-}
-
-# Multivariate kinds are plotted through their first coordinate's marginal.
-_PLOT_PROXY: dict[str, str] = {
-    "pinned_sides_joint": "pinned_a",
-    "pinned_angles_joint": "pinned_alpha",
-    "pair_ab": "pinned_a",
-    "pair_bc": "pinned_b",
-    "pair_ac_integral": "pinned_a",
-    "staked_angles_joint": "staked_alpha",
-    "anchored_angles_joint": "anchored_alpha",
-    "uT_sides_joint": "uT_side_a",
-}
+# Largest --grid count: well beyond any tabulation need, and small enough
+# that the grid and its output table fit in memory.
+_MAX_GRID_COUNT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +133,8 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise UsageError(f"grid count must be an integer: {parts[2]!r}") from None
-    if count < 0:
-        raise UsageError(f"grid count must be >= 0: {count}")
+    if not 0 <= count <= _MAX_GRID_COUNT:
+        raise UsageError(f"grid count must be in [0, {_MAX_GRID_COUNT}]: {count}")
     if count and not hi > lo:
         raise UsageError(f"grid needs stop > start: {text!r}")
     step = (hi - lo) / count if count else 0.0
@@ -331,11 +306,7 @@ def cmd_verify(cfg: RunConfig, mc_samples: int, big_mc_samples: int,
               "ks_samples": ks_samples,
               "all_pass": verification.suite_passed(results), "checks": rows}
     if cfg.fmt == "csv":
-        columns = ["check", "family", "expected", "actual", "tolerance", "pass"]
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(row[c]) for c in columns)
-                     for row in rows)
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _write_table(rows, ["check", "family", "expected", "actual", "tolerance", "pass"], cfg)
     else:
         _emit(json.dumps(report, indent=1) + "\n", cfg.out)
     if report["all_pass"]:
@@ -348,17 +319,16 @@ def cmd_verify(cfg: RunConfig, mc_samples: int, big_mc_samples: int,
 def cmd_plot(cfg: RunConfig, kind_tag: str, bins: int | None, out: str | None) -> int:
     if kind_tag not in CATALOG:
         raise UsageError(f"unknown density kind {kind_tag!r}")
-    proxy_tag = _PLOT_PROXY.get(kind_tag, kind_tag)
+    proxy_tag = CATALOG[kind_tag].marginal or kind_tag
     proxy = CATALOG[proxy_tag]
-    family, statistic = _PLOT_SOURCES[proxy_tag]
     lo, hi = proxy.support[0]
     if not math.isfinite(hi):
         hi = quantile(proxy, 0.995)
     spec = PlotSpec(kind_tag, cfg.n, bins, (float(lo), float(hi)),
                     out if out is not None else f"{kind_tag}.svg")
 
-    batch = sample_batch(family, spec.n, RandomStream(cfg.seed, 0))
-    values = np.asarray(batch.statistic(statistic), dtype=float)
+    batch = sample_batch(proxy.family, spec.n, RandomStream(cfg.seed, 0))
+    values = np.asarray(batch.statistic(proxy.statistic), dtype=float)
     inside = values[(values >= spec.x_range[0]) & (values <= spec.x_range[1])]
     bin_count = (spec.bins if spec.bins is not None
                  else freedman_diaconis_bins(inside, spec.x_range))

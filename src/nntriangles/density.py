@@ -34,8 +34,10 @@ from typing import Callable
 
 import numpy as np
 
+from .geom import heron_product
 # integrate_1d stays bound here for the benchmark's tracer (perfbench/tracing.py).
-from .numerics import IntegralResult, QuadratureSpec, erfc, integrate_1d, integrate_batch  # noqa: F401
+from .numerics import (GL16_NODES, GL16_WEIGHTS, IntegralResult, QuadratureSpec,  # noqa: F401
+                       erfc, integrate_1d, integrate_batch)
 
 __all__ = [
     "CATALOG",
@@ -83,8 +85,8 @@ def pdf_pinned_sides_joint(x, y, z):
     inside = closure & (X > Y - Z) & (X < Y + Z)
     if inside.any():
         a, b, c = X[inside], Y[inside], Z[inside]
-        delta = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-        out[inside] = 8.0 * _PI * a * b * c * np.exp(-_PI * b * b) / np.sqrt(delta)
+        out[inside] = (8.0 * _PI * a * b * c * np.exp(-_PI * b * b)
+                       / np.sqrt(heron_product(a, b, c)))
     edge = closure & ((X == Y - Z) | (X == Y + Z))
     out[edge] = math.inf
     return _finish(out, scalar)
@@ -94,7 +96,7 @@ def pdf_pinned_a(x):
     """Density of the side joining the two Poisson points: pi*x*erfc(sqrt(pi)x/2)."""
     (X,), scalar = _broadcast(x)
     out = np.zeros_like(X)
-    m = X > 0.0
+    m = (X > 0.0) & np.isfinite(X)
     out[m] = _PI * X[m] * erfc(0.5 * math.sqrt(_PI) * X[m])
     return _finish(out, scalar)
 
@@ -103,7 +105,7 @@ def pdf_pinned_b(x):
     """Density of the second-nearest distance: 2*pi^2*x^3*exp(-pi x^2)."""
     (X,), scalar = _broadcast(x)
     out = np.zeros_like(X)
-    m = X > 0.0
+    m = (X > 0.0) & np.isfinite(X)
     out[m] = 2.0 * _PI * _PI * X[m] ** 3 * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
 
@@ -112,7 +114,7 @@ def pdf_pinned_c(x):
     """Density of the nearest distance: 2*pi*x*exp(-pi x^2)."""
     (X,), scalar = _broadcast(x)
     out = np.zeros_like(X)
-    m = X > 0.0
+    m = (X > 0.0) & np.isfinite(X)
     out[m] = 2.0 * _PI * X[m] * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
 
@@ -258,7 +260,7 @@ def pdf_ratio_c_over_a(x):
     if m1.any():
         t = X[m1]
         out[m1] = 2.0 * t * (1.0 + t * t) / (1.0 - t * t) ** 3
-    m2 = (X >= 0.5) & (np.abs(X - 1.0) >= _RATIO_WINDOW)
+    m2 = (X >= 0.5) & (np.abs(X - 1.0) >= _RATIO_WINDOW) & np.isfinite(X)
     if m2.any():
         t = X[m2]
         t2 = t * t
@@ -284,7 +286,7 @@ def pdf_ratio_a_over_c(x):
                     - _PI * (1.0 + t2)
                     + 6.0 * (1.0 + t2) * np.arcsin(0.5 * t))
         out[m1] = num / (_PI * (1.0 - t2) ** 3)
-    m2 = X >= 2.0
+    m2 = (X >= 2.0) & np.isfinite(X)
     if m2.any():
         t = X[m2]
         out[m2] = 2.0 * t * (1.0 + t * t) / (t * t - 1.0) ** 3
@@ -407,12 +409,11 @@ def pdf_anchored_angles_joint(alpha, beta):
     return _finish(out, scalar)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MARGINAL_PANELS = 12
 # Composite 16-point Gauss-Legendre abscissae/weights on (0, 1).
-_T01 = ((np.arange(_MARGINAL_PANELS)[:, None] + 0.5 + 0.5 * _GL_NODES[None, :])
+_T01 = ((np.arange(_MARGINAL_PANELS)[:, None] + 0.5 + 0.5 * GL16_NODES[None, :])
         / _MARGINAL_PANELS).ravel()
-_W01 = np.tile(0.5 * _GL_WEIGHTS / _MARGINAL_PANELS, _MARGINAL_PANELS)
+_W01 = np.tile(0.5 * GL16_WEIGHTS / _MARGINAL_PANELS, _MARGINAL_PANELS)
 
 
 def _angle_marginal(joint: Callable, x, marginal_of_first: bool):
@@ -532,8 +533,10 @@ def pdf_uT_min(x):
 
 @dataclass(frozen=True)
 class DensityKind:
-    """One catalog entry: evaluator plus enough support/tail metadata for
-    normalization checks, distribution-function grids, and plotting."""
+    """One catalog entry: evaluator plus every per-density fact the package
+    needs -- support and tail metadata for normalization checks and
+    distribution-function grids, and the sampler family and statistic that
+    the KS battery and the plots draw."""
 
     tag: str
     arity: int
@@ -544,6 +547,14 @@ class DensityKind:
     tail_power: float = 0.0           # |x|^-p tail exponent when tail == 'power'
     gauss_scale: float = 0.0          # exp(-scale x^2) bound when tail == 'gauss'
     gauss_degree: int = 0
+    family: str = field(kw_only=True)  # sampler family whose triangles it describes
+    statistic: str | None = None      # SampleBatch statistic drawn from it (univariate)
+    marginal: str | None = None       # univariate tag plotted for it (multivariate)
+    # Interior points where a univariate density is continuous but not
+    # smooth (branch joins and series hand-over points); splitting panels
+    # there keeps every panel's integrand analytic.
+    breakpoints: tuple = ()
+    grid_edges: int = 4097            # panel edges over the core of its CDF grid
 
 
 _INF = math.inf
@@ -556,49 +567,67 @@ def _register(kind: DensityKind) -> None:
 
 
 _register(DensityKind("pinned_sides_joint", 3, pdf_pinned_sides_joint,
-                      ((0.0, _INF), (0.0, _INF), (0.0, _INF))))
-_register(DensityKind("pinned_a", 1, pdf_pinned_a, ((0.0, _INF),),
+                      ((0.0, _INF), (0.0, _INF), (0.0, _INF)),
+                      family="pinned", marginal="pinned_a"))
+_register(DensityKind("pinned_a", 1, pdf_pinned_a, ((0.0, _INF),), family="pinned", statistic="a",
                       tail="gauss", gauss_scale=_PI / 4.0, gauss_degree=1))
-_register(DensityKind("pinned_b", 1, pdf_pinned_b, ((0.0, _INF),),
+_register(DensityKind("pinned_b", 1, pdf_pinned_b, ((0.0, _INF),), family="pinned", statistic="b",
                       tail="gauss", gauss_scale=_PI, gauss_degree=3))
-_register(DensityKind("pinned_c", 1, pdf_pinned_c, ((0.0, _INF),),
+_register(DensityKind("pinned_c", 1, pdf_pinned_c, ((0.0, _INF),), family="pinned", statistic="c",
                       tail="gauss", gauss_scale=_PI, gauss_degree=1))
 _register(DensityKind("pinned_angles_joint", 2, pdf_pinned_angles_joint,
-                      ((0.0, _PI), (0.0, _PI))))
-_register(DensityKind("pinned_alpha", 1, pdf_pinned_alpha, ((0.0, _PI),)))
-_register(DensityKind("pinned_beta", 1, pdf_pinned_beta, ((0.0, _PI),)))
-_register(DensityKind("pinned_gamma", 1, pdf_pinned_gamma, ((0.0, 0.5 * _PI),)))
-_register(DensityKind("ratio_a_over_b", 1, pdf_ratio_a_over_b, ((0.0, 2.0),)))
+                      ((0.0, _PI), (0.0, _PI)), family="pinned", marginal="pinned_alpha"))
+_register(DensityKind("pinned_alpha", 1, pdf_pinned_alpha, ((0.0, _PI),),
+                      family="pinned", statistic="alpha"))
+_register(DensityKind("pinned_beta", 1, pdf_pinned_beta, ((0.0, _PI),), family="pinned",
+                      statistic="beta", breakpoints=(0.05, 0.5 * _PI, _PI - 0.05)))
+_register(DensityKind("pinned_gamma", 1, pdf_pinned_gamma, ((0.0, 0.5 * _PI),),
+                      family="pinned", statistic="gamma"))
+_register(DensityKind("ratio_a_over_b", 1, pdf_ratio_a_over_b, ((0.0, 2.0),),
+                      family="pinned", statistic="a_over_b"))
 _register(DensityKind("ratio_b_over_a", 1, pdf_ratio_b_over_a, ((0.5, _INF),),
-                      tail="power", tail_power=3.0))
+                      tail="power", tail_power=3.0, family="pinned", statistic="b_over_a"))
 _register(DensityKind("ratio_b_over_c", 1, pdf_ratio_b_over_c, ((1.0, _INF),),
-                      tail="power", tail_power=3.0))
-_register(DensityKind("ratio_c_over_b", 1, pdf_ratio_c_over_b, ((0.0, 1.0),)))
+                      tail="power", tail_power=3.0, family="pinned", statistic="b_over_c"))
+_register(DensityKind("ratio_c_over_b", 1, pdf_ratio_c_over_b, ((0.0, 1.0),),
+                      family="pinned", statistic="c_over_b"))
 _register(DensityKind("ratio_c_over_a", 1, pdf_ratio_c_over_a, ((0.0, _INF),),
-                      tail="power", tail_power=3.0))
+                      tail="power", tail_power=3.0, family="pinned", statistic="c_over_a",
+                      breakpoints=(0.5, 0.97, 1.03)))
 _register(DensityKind("ratio_a_over_c", 1, pdf_ratio_a_over_c, ((0.0, _INF),),
-                      tail="power", tail_power=3.0))
-_register(DensityKind("pair_ab", 2, pdf_pair_ab, ((0.0, _INF), (0.0, _INF))))
-_register(DensityKind("pair_bc", 2, pdf_pair_bc, ((0.0, _INF), (0.0, _INF))))
-_register(DensityKind("pair_ac_integral", 2, pdf_pair_ac, ((0.0, _INF), (0.0, _INF))))
+                      tail="power", tail_power=3.0, family="pinned", statistic="a_over_c",
+                      breakpoints=(0.97, 1.03, 2.0)))
+_register(DensityKind("pair_ab", 2, pdf_pair_ab, ((0.0, _INF), (0.0, _INF)),
+                      family="pinned", marginal="pinned_a"))
+_register(DensityKind("pair_bc", 2, pdf_pair_bc, ((0.0, _INF), (0.0, _INF)),
+                      family="pinned", marginal="pinned_b"))
+_register(DensityKind("pair_ac_integral", 2, pdf_pair_ac, ((0.0, _INF), (0.0, _INF)),
+                      family="pinned", marginal="pinned_a"))
 _register(DensityKind("staked_angles_joint", 2, pdf_staked_angles_joint,
-                      ((0.0, _PI), (0.0, _PI))))
+                      ((0.0, _PI), (0.0, _PI)), family="staked", marginal="staked_alpha"))
 _register(DensityKind("anchored_angles_joint", 2, pdf_anchored_angles_joint,
-                      ((0.0, _PI), (0.0, _PI))))
-_register(DensityKind("staked_alpha", 1, pdf_staked_alpha, ((0.0, _PI),)))
-_register(DensityKind("staked_beta", 1, pdf_staked_beta, ((0.0, _PI),)))
-_register(DensityKind("anchored_alpha", 1, pdf_anchored_alpha, ((0.0, _PI),)))
-_register(DensityKind("anchored_beta", 1, pdf_anchored_beta, ((0.0, _PI),)))
+                      ((0.0, _PI), (0.0, _PI)), family="anchored", marginal="anchored_alpha"))
+_register(DensityKind("staked_alpha", 1, pdf_staked_alpha, ((0.0, _PI),),
+                      family="staked", statistic="alpha"))
+# The integral-form angle marginals cost one inner quadrature per
+# evaluation point but are smooth and bounded, so a quarter of the panel
+# density still leaves the grid error near 1e-8.
+_register(DensityKind("staked_beta", 1, pdf_staked_beta, ((0.0, _PI),),
+                      family="staked", statistic="beta", grid_edges=1025))
+_register(DensityKind("anchored_alpha", 1, pdf_anchored_alpha, ((0.0, _PI),),
+                      family="anchored", statistic="alpha", grid_edges=1025))
+_register(DensityKind("anchored_beta", 1, pdf_anchored_beta, ((0.0, _PI),),
+                      family="anchored", statistic="beta", grid_edges=1025))
 _register(DensityKind("uT_sides_joint", 2, pdf_uT_sides_joint,
-                      ((0.0, _INF), (0.0, _INF))))
-_register(DensityKind("uT_side_a", 1, pdf_uT_side_a, ((0.0, _INF),),
-                      singular_points=(1.0,), tail="power", tail_power=2.0))
-_register(DensityKind("uT_ratio", 1, pdf_uT_ratio, ((0.0, _INF),),
-                      singular_points=(1.0,), tail="power", tail_power=2.0))
-_register(DensityKind("uT_max", 1, pdf_uT_max, ((0.5, _INF),),
-                      singular_points=(1.0,), tail="power", tail_power=2.0))
-_register(DensityKind("uT_min", 1, pdf_uT_min, ((0.0, _INF),),
-                      tail="power", tail_power=2.0))
+                      ((0.0, _INF), (0.0, _INF)), family="uniformT", marginal="uT_side_a"))
+_register(DensityKind("uT_side_a", 1, pdf_uT_side_a, ((0.0, _INF),), family="uniformT",
+                      statistic="a", singular_points=(1.0,), tail="power", tail_power=2.0))
+_register(DensityKind("uT_ratio", 1, pdf_uT_ratio, ((0.0, _INF),), family="uniformT",
+                      statistic="a_over_b", singular_points=(1.0,), tail="power", tail_power=2.0))
+_register(DensityKind("uT_max", 1, pdf_uT_max, ((0.5, _INF),), family="uniformT",
+                      statistic="max_ab", singular_points=(1.0,), tail="power", tail_power=2.0))
+_register(DensityKind("uT_min", 1, pdf_uT_min, ((0.0, _INF),), family="uniformT",
+                      statistic="min_ab", tail="power", tail_power=2.0, breakpoints=(0.5,)))
 
 
 def kinds(arity: int | None = None) -> list[str]:

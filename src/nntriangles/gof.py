@@ -12,8 +12,9 @@ Three test families are provided:
 
 Thresholds are asymptotic: the Kolmogorov criterion sqrt(ln(2/alpha)/2)
 scaled by the sample sizes, and a Wilson-Hilferty chi-square quantile.
-``KS_MATRIX`` lists the standard battery of sampler-statistic/density pairs
-covering every family, and :func:`run_ks_matrix` executes it.
+:func:`ks_battery` tests catalog kinds against the sampler statistics their
+records name, on one batch per family; ``KS_MATRIX`` lists the standard
+battery covering every family, and :func:`run_ks_matrix` executes it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ import numpy as np
 
 from .density import CATALOG, DensityKind
 from .numerics import (
+    GL16_NODES,
+    GL16_WEIGHTS,
     MonotoneCubic,
     QuadratureSpec,
     fixed_panel_integrals,
     gaussian_tail_cutoff,
     integrate_1d,
 )
-from .sampler import RandomStream, sample_batch
+from .sampler import FAMILIES, RandomStream, SampleBatch, sample_batch
 
 __all__ = [
     "KS_MATRIX",
@@ -41,9 +44,11 @@ __all__ = [
     "cdf_from_pdf",
     "chi_square_quantile",
     "chi_square_region",
+    "ks_battery",
     "ks_critical",
     "ks_one_sample",
     "ks_two_sample",
+    "quadrature_pieces",
     "quantile",
     "run_ks_matrix",
 ]
@@ -146,22 +151,6 @@ def chi_square_quantile(p: float, dof: int) -> float:
 # distribution-function grids
 # ---------------------------------------------------------------------------
 
-# Interior points where a univariate catalog density is continuous but not
-# smooth (branch joins and series hand-over points); inserting them as panel
-# edges keeps every panel's integrand analytic.
-_EXTRA_EDGES = {
-    "pinned_beta": (0.05, 0.5 * _PI, _PI - 0.05),
-    "ratio_c_over_a": (0.5, 0.97, 1.03),
-    "ratio_a_over_c": (0.97, 1.03, 2.0),
-    "uT_min": (0.5,),
-}
-
-_CORE_EDGES = 4097
-# The integral-form angle marginals cost one inner quadrature per
-# evaluation point but are smooth and bounded, so a quarter of the panel
-# density still leaves the grid error near 1e-8.
-_CORE_EDGES_BY_TAG = {"staked_beta": 1025, "anchored_alpha": 1025,
-                      "anchored_beta": 1025}
 _LOG_EDGES = 1281
 _LOG_START = 12.0
 # Geometric ladder of panel edges on both sides of each integrable
@@ -186,11 +175,11 @@ def _grid_edges(kind: DensityKind) -> np.ndarray:
     else:  # pragma: no cover - catalog invariant
         raise ValueError(f"unknown tail kind {kind.tail!r}")
 
-    pieces = [np.linspace(lo, core_end, _CORE_EDGES_BY_TAG.get(kind.tag, _CORE_EDGES))]
+    pieces = [np.linspace(lo, core_end, kind.grid_edges)]
     if log_end is not None:
         pieces.append(np.geomspace(core_end, log_end, _LOG_EDGES)[1:])
     upper = core_end if log_end is None else log_end
-    for point in _EXTRA_EDGES.get(kind.tag, ()):
+    for point in kind.breakpoints:
         if lo < point < upper:
             pieces.append(np.array([point]))
     for s in kind.singular_points:
@@ -222,7 +211,6 @@ class _CdfGrid:
         masses = _chunked_panel_integrals(kind.pdf, edges, kind.singular_points)
         cdf = np.concatenate(([0.0], np.cumsum(masses)))
         cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-        self.kind = kind
         self.lo = float(edges[0])
         self.hi = float(edges[-1])
         self.total = float(cdf[-1])
@@ -234,7 +222,9 @@ class _CdfGrid:
         return self._interp(x)
 
 
-_GRIDS: dict[str, _CdfGrid] = {}
+# Grids keyed on every field that decides one, so kinds sharing a law
+# (anchored_beta and anchored_alpha, uT_ratio and uT_side_a) share a grid.
+_GRIDS: dict[tuple, _CdfGrid] = {}
 
 
 def _resolve_kind(kind) -> DensityKind:
@@ -251,22 +241,11 @@ def _resolve_kind(kind) -> DensityKind:
 
 
 def _grid(kind: DensityKind) -> _CdfGrid:
-    grid = _GRIDS.get(kind.tag)
+    key = (kind.pdf, kind.support, kind.singular_points, kind.tail, kind.tail_power,
+           kind.gauss_scale, kind.gauss_degree, kind.breakpoints, kind.grid_edges)
+    grid = _GRIDS.get(key)
     if grid is None:
-        for other in _GRIDS.values():
-            same = (other.kind.pdf is kind.pdf
-                    and other.kind.support == kind.support
-                    and other.kind.singular_points == kind.singular_points
-                    and other.kind.tail == kind.tail
-                    and _EXTRA_EDGES.get(other.kind.tag) == _EXTRA_EDGES.get(kind.tag)
-                    and (_CORE_EDGES_BY_TAG.get(other.kind.tag)
-                         == _CORE_EDGES_BY_TAG.get(kind.tag)))
-            if same:
-                grid = other
-                break
-        else:
-            grid = _CdfGrid(kind)
-        _GRIDS[kind.tag] = grid
+        grid = _GRIDS[key] = _CdfGrid(kind)
     return grid
 
 
@@ -322,21 +301,37 @@ def _truncation_point(kind: DensityKind, tol: float) -> float:
     return t
 
 
-def _cdf_direct(kind: DensityKind, x: float, tol: float) -> float:
+def quadrature_pieces(kind: DensityKind, tol: float,
+                      x: float = math.inf) -> list[tuple[float, float, str]]:
+    """Pieces (a, b, singularity mode) for integrating a univariate kind
+    from its lower support end up to x.
+
+    The range ends at x or at the support's upper end, whichever is lower;
+    an infinite tail is cut where all but < tol/10 of the mass lies below.
+    It is split at the kind's singular points and breakpoints, and each
+    piece gets the endpoint-singularity mode its singular ends need.
+    """
     lo, hi = kind.support[0]
-    if x <= lo:
-        return 0.0
-    upper = hi if kind.tail == "finite" else _truncation_point(kind, tol)
-    x = min(x, upper)
-    cuts = sorted({lo, x, *(s for s in kind.singular_points if lo < s < x),
-                   *(p for p in _EXTRA_EDGES.get(kind.tag, ()) if lo < p < x)})
-    total = 0.0
+    x = min(x, hi if kind.tail == "finite" else _truncation_point(kind, tol))
+    cuts = sorted({lo, x, *(p for p in (*kind.singular_points, *kind.breakpoints)
+                            if lo < p < x)})
+    pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         touch_lo = any(math.isclose(a, s) for s in kind.singular_points)
         touch_hi = any(math.isclose(b, s) for s in kind.singular_points)
         mode = {(False, False): "none", (True, False): "left",
                 (False, True): "right", (True, True): "both"}[(touch_lo, touch_hi)]
-        spec = QuadratureSpec(abs_tol=0.05 * tol / max(1, len(cuts) - 1),
+        pieces.append((a, b, mode))
+    return pieces
+
+
+def _cdf_direct(kind: DensityKind, x: float, tol: float) -> float:
+    if x <= kind.support[0][0]:
+        return 0.0
+    pieces = quadrature_pieces(kind, tol, x)
+    total = 0.0
+    for a, b, mode in pieces:
+        spec = QuadratureSpec(abs_tol=0.05 * tol / len(pieces),
                               rel_tol=0.5 * tol, singularity=mode)
         total += integrate_1d(kind.pdf, a, b, spec).value
     return min(total, 1.0)
@@ -382,19 +377,16 @@ def ks_two_sample(first: EmpiricalSample, second: EmpiricalSample,
 # chi-square test on a rectangular partition
 # ---------------------------------------------------------------------------
 
-_CELL_NODES, _CELL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _cell_probabilities(pdf, xedges: np.ndarray, yedges: np.ndarray) -> np.ndarray:
     """Product-Gauss integral of ``pdf`` over every rectangle of the grid."""
     xmid = 0.5 * (xedges[1:] + xedges[:-1])
     xhalf = 0.5 * np.diff(xedges)
     ymid = 0.5 * (yedges[1:] + yedges[:-1])
     yhalf = 0.5 * np.diff(yedges)
-    xn = xmid[:, None] + xhalf[:, None] * _CELL_NODES[None, :]   # (nx, 16)
-    yn = ymid[:, None] + yhalf[:, None] * _CELL_NODES[None, :]   # (ny, 16)
+    xn = xmid[:, None] + xhalf[:, None] * GL16_NODES[None, :]    # (nx, 16)
+    yn = ymid[:, None] + yhalf[:, None] * GL16_NODES[None, :]    # (ny, 16)
     vals = pdf(xn[:, None, :, None], yn[None, :, None, :])       # (nx, ny, 16, 16)
-    w = _CELL_WEIGHTS[:, None] * _CELL_WEIGHTS[None, :]
+    w = GL16_WEIGHTS[:, None] * GL16_WEIGHTS[None, :]
     cells = (vals * w).sum(axis=(2, 3))
     return cells * (xhalf[:, None] * yhalf[None, :])
 
@@ -468,45 +460,36 @@ def chi_square_region(samples, pdf, bins, alpha: float = 0.001,
 # the standard sampler-vs-catalog battery
 # ---------------------------------------------------------------------------
 
-# (catalog tag, sampler family, batch statistic)
-KS_MATRIX: tuple[tuple[str, str, str], ...] = (
-    ("pinned_a", "pinned", "a"),
-    ("pinned_b", "pinned", "b"),
-    ("pinned_c", "pinned", "c"),
-    ("pinned_alpha", "pinned", "alpha"),
-    ("pinned_beta", "pinned", "beta"),
-    ("pinned_gamma", "pinned", "gamma"),
-    ("ratio_a_over_b", "pinned", "a_over_b"),
-    ("ratio_b_over_a", "pinned", "b_over_a"),
-    ("ratio_b_over_c", "pinned", "b_over_c"),
-    ("ratio_c_over_b", "pinned", "c_over_b"),
-    ("ratio_c_over_a", "pinned", "c_over_a"),
-    ("ratio_a_over_c", "pinned", "a_over_c"),
-    ("staked_alpha", "staked", "alpha"),
-    ("staked_beta", "staked", "beta"),
-    ("anchored_alpha", "anchored", "alpha"),
-    ("anchored_beta", "anchored", "beta"),
-    ("uT_side_a", "uniformT", "a"),
-)
+# (catalog tag, sampler family, batch statistic) for every sampled
+# univariate law but the uniform-angle ratio (the law of uT_side_a), max
+# and min.
+KS_MATRIX: tuple[tuple[str, str, str], ...] = tuple(
+    (kind.tag, kind.family, kind.statistic) for kind in CATALOG.values()
+    if kind.arity == 1 and kind.tag not in ("uT_ratio", "uT_max", "uT_min"))
+
+
+def ks_battery(n: int, seed: int, tags,
+               alpha: float = 0.001) -> tuple[dict[str, SampleBatch], list[GofReport]]:
+    """One-sample KS test of each tagged kind against its sampler statistic.
+
+    One batch of n rows is drawn per family (family i of FAMILIES from
+    substream i of ``seed``) and reused across that family's statistics;
+    the batches are returned with the reports, for further tests on the
+    same draws.
+    """
+    batches = {family: sample_batch(family, n, RandomStream(seed, stream))
+               for stream, family in enumerate(FAMILIES)}
+    reports = []
+    for tag in tags:
+        kind = CATALOG[tag]
+        sample = EmpiricalSample.from_values(batches[kind.family].statistic(kind.statistic),
+                                             label=f"{kind.family}:{kind.statistic}")
+        reports.append(ks_one_sample(sample, tag, alpha))
+    return batches, reports
 
 
 def run_ks_matrix(n: int = 100_000, alpha: float = 0.001,
                   seed: int = 2) -> list[GofReport]:
-    """One-sample KS test for every row of ``KS_MATRIX``.
-
-    One batch per family is drawn (substreams 0-3 of ``seed``) and reused
-    across that family's statistics.
-    """
+    """One-sample KS test for every row of ``KS_MATRIX`` (see :func:`ks_battery`)."""
     alpha = _check_alpha(alpha)
-    families = []
-    for _, family, _ in KS_MATRIX:
-        if family not in families:
-            families.append(family)
-    batches = {family: sample_batch(family, n, RandomStream(seed, stream))
-               for stream, family in enumerate(families)}
-    reports = []
-    for tag, family, statistic in KS_MATRIX:
-        sample = EmpiricalSample.from_values(batches[family].statistic(statistic),
-                                             label=f"{family}:{statistic}")
-        reports.append(ks_one_sample(sample, tag, alpha))
-    return reports
+    return ks_battery(n, seed, [tag for tag, _, _ in KS_MATRIX], alpha)[1]

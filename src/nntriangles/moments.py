@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import density
-from .numerics import (CATALAN, IntegralResult, QuadratureSpec, bessel_i0,
-                       erfc, gaussian_tail_cutoff, integrate_1d, integrate_2d)
+from .geom import heron_product
+from .numerics import (CATALAN, SIN2_JAC, SIN2_NODES, SIN2_ROWS, SIN2_WEIGHTS,
+                       IntegralResult, QuadratureSpec, bessel_i0, erfc,
+                       gaussian_tail_cutoff, integrate_1d, integrate_2d)
 from .sampler import RandomStream, sample_batch
 
 _PI = math.pi
@@ -184,30 +186,18 @@ def reference_value(target: MomentTarget) -> float | None:
 # Quadrature paths
 
 
-_MARGINAL_TAGS = {
-    ("pinned", "a"): "pinned_a", ("pinned", "b"): "pinned_b",
-    ("pinned", "c"): "pinned_c", ("pinned", "alpha"): "pinned_alpha",
-    ("pinned", "beta"): "pinned_beta", ("pinned", "gamma"): "pinned_gamma",
-    ("pinned", "a/b"): "ratio_a_over_b", ("pinned", "b/a"): "ratio_b_over_a",
-    ("pinned", "b/c"): "ratio_b_over_c", ("pinned", "c/b"): "ratio_c_over_b",
-    ("pinned", "c/a"): "ratio_c_over_a", ("pinned", "a/c"): "ratio_a_over_c",
-    ("staked", "alpha"): "staked_alpha", ("staked", "beta"): "staked_beta",
-    ("anchored", "alpha"): "anchored_alpha", ("anchored", "beta"): "anchored_beta",
-}
-
-_ANGLE_JOINTS = {
-    "pinned": density.pdf_pinned_angles_joint,
-    "staked": density.pdf_staked_angles_joint,
-    "anchored": density.pdf_anchored_angles_joint,
-}
+def _marginal_kind(target: MomentTarget) -> density.DensityKind | None:
+    """The univariate catalog kind of the target's quantity, if there is one."""
+    source = (1, target.family, target.quantity.replace("/", "_over_"))
+    return next((kind for kind in density.CATALOG.values()
+                 if (kind.arity, kind.family, kind.statistic) == source), None)
 
 
-def _marginal_moment(tag: str, power: int, tol: float) -> IntegralResult:
-    kind = density.CATALOG[tag]
+def _marginal_moment(kind: density.DensityKind, power: int, tol: float) -> IntegralResult:
     lo, hi = kind.support[0]
     if kind.tail == "power" and kind.tail_power - power <= 1:
         raise DivergenceError(
-            f"moment of order {power} diverges for {tag} "
+            f"moment of order {power} diverges for {kind.tag} "
             f"(tail falls off as x^-{kind.tail_power:g})")
     if kind.tail == "gauss" and math.isinf(hi):
         hi = gaussian_tail_cutoff(kind.gauss_scale, kind.gauss_degree + power)
@@ -216,27 +206,14 @@ def _marginal_moment(tag: str, power: int, tol: float) -> IntegralResult:
     def integrand(x):
         return x**power * kind.pdf(x)
 
-    if math.isinf(hi):
-        return integrate_1d(integrand, lo, hi, spec)
-    pieces = sorted({lo, hi} | {s for s in kind.singular_points if lo < s < hi})
-    total, err, subs, neval = 0.0, 0.0, 0, 0
-    converged = True
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        sing_spec = QuadratureSpec(abs_tol=0.1 * tol / (len(pieces) - 1),
-                                   rel_tol=0.1 * tol, max_subdivisions=400,
-                                   singularity="both" if len(pieces) > 2 else "none")
-        r = integrate_1d(integrand, a, b, sing_spec)
-        total += r.value
-        err += r.error
-        subs += r.subdivisions
-        neval += r.neval
-        converged &= r.converged
-    return IntegralResult(total, err, subs, converged, neval)
+    # No moment-table kind has an interior singular point (only the
+    # uniform-angle laws do), so the support needs no splitting.
+    return integrate_1d(integrand, lo, hi, spec)
 
 
 def _angle_product_moment(family: str, quantity: str, power: int,
                           tol: float) -> IntegralResult:
-    joint = _ANGLE_JOINTS[family]
+    joint = density.CATALOG[f"{family}_angles_joint"].pdf
     pair = {"alphabeta": (0, 1), "betagamma": (1, 2), "gammaalpha": (2, 0)}[quantity]
 
     def f(x, y):
@@ -259,22 +236,10 @@ def _pair_side_moment(quantity: str, power: int, tol: float) -> IntegralResult:
     return integrate_2d(f, 0.0, b_hi, lambda b: (np.zeros_like(b), b), spec)
 
 
-# Fixed inner rule for the innermost side-a integrals: the substitution
-# a = lo + (hi - lo) sin^2 t turns the inverse-square-root edges of the
-# trivariate side density into a smooth integrand on (0, pi/2).
-_INNER_NODES, _INNER_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_INNER_PANELS = 6
-_INNER_T = (_PI / 2.0) * ((np.arange(_INNER_PANELS)[:, None] + 0.5
-                           + 0.5 * _INNER_NODES[None, :]) / _INNER_PANELS).ravel()
-_INNER_W = np.tile((_PI / 4.0) * _INNER_WEIGHTS / _INNER_PANELS, _INNER_PANELS)
-_INNER_SIN2 = np.sin(_INNER_T)**2
-_INNER_JAC = np.sin(2.0 * _INNER_T)
-_INNER_JW = _INNER_JAC * _INNER_W
-
-
-# Rows per slice of the inner rule: keeps its (rows, 96) temporaries in
-# cache, which halves the time per node against whole-batch arrays.
-_INNER_ROWS = 256
+# The innermost side-a integrals use the fixed sin^2 rule: it turns the
+# inverse-square-root edges of the trivariate side density into a smooth
+# integrand on (0, pi/2).
+_INNER_JW = SIN2_JAC * SIN2_WEIGHTS
 
 
 def _inner_a_integral(weight, b, c, a_lo, a_hi):
@@ -286,12 +251,11 @@ def _inner_a_integral(weight, b, c, a_lo, a_hi):
     """
     width = a_hi - a_lo
     rule = np.empty(len(b))
-    for start in range(0, len(b), _INNER_ROWS):
-        i = slice(start, start + _INNER_ROWS)
-        a = a_lo[i, None] + width[i, None] * _INNER_SIN2[None, :]
+    for start in range(0, len(b), SIN2_ROWS):
+        i = slice(start, start + SIN2_ROWS)
+        a = a_lo[i, None] + width[i, None] * SIN2_NODES[None, :]
         B, C = b[i, None], c[i, None]
-        heron = (a + B + C) * (-a + B + C) * (a - B + C) * (a + B - C)
-        rule[i] = (weight(a, B, C) * a / np.sqrt(heron)) @ _INNER_JW
+        rule[i] = (weight(a, B, C) * a / np.sqrt(heron_product(a, B, C))) @ _INNER_JW
     return 8.0 * _PI * b * c * np.exp(-_PI * b * b) * width * rule
 
 
@@ -357,9 +321,9 @@ def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
     if closed_form(target) == math.inf:
         raise DivergenceError(f"{target} diverges")
     power = 1 if target.statistic == "mean" else 2
-    key = (target.family, target.quantity)
-    if key in _MARGINAL_TAGS:
-        return _marginal_moment(_MARGINAL_TAGS[key], power, tol)
+    kind = _marginal_kind(target)
+    if kind is not None:
+        return _marginal_moment(kind, power, tol)
     if target.quantity in ("alphabeta", "betagamma", "gammaalpha"):
         return _angle_product_moment(target.family, target.quantity, power, tol)
     if target.quantity in ("ab", "bc"):
@@ -370,8 +334,7 @@ def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
         return _combine(_pinned_triple(weight, tol))
     if target.quantity == "area":
         def weight(a, b, c):
-            heron = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-            return (np.sqrt(np.maximum(heron, 0.0)) / 4.0)**power
+            return (np.sqrt(np.maximum(heron_product(a, b, c), 0.0)) / 4.0)**power
         (full,) = _pinned_triple(weight, tol, pieces=("full",))
         return full
     raise ValueError(f"no quadrature path for {target}")
@@ -381,8 +344,9 @@ def truncated_mean_square(target: MomentTarget, upper: float,
                           tol: float = 1e-10) -> IntegralResult:
     """Second moment restricted to values below ``upper``; finite even for
     the divergent ratio rows, where it grows logarithmically in ``upper``."""
-    tag = _MARGINAL_TAGS[(target.family, target.quantity)]
-    kind = density.CATALOG[tag]
+    kind = _marginal_kind(target)
+    if kind is None:
+        raise ValueError(f"no univariate density for {target}")
     lo, hi = kind.support[0]
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=400)
     return integrate_1d(lambda x: x * x * kind.pdf(x), lo, min(upper, hi), spec)
@@ -391,7 +355,36 @@ def truncated_mean_square(target: MomentTarget, upper: float,
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-_MC_BATCHES = 100
+_BATCHES = 100
+
+
+def batch_means(family: str, n: int, rng: RandomStream, reducers: dict,
+                workers: int = 1) -> dict[str, MonteCarloEstimate]:
+    """Batch-means estimates of several statistics from one set of draws.
+
+    Batch k < 100 holds max(n // 100, 1) rows drawn from
+    RandomStream(rng.seed, rng.stream_id + k).  ``reducers`` maps a name to
+    a function of one batch returning a scalar; each name's estimate is the
+    mean of its 100 batch values, with their standard error.  Batches run
+    on ``workers`` threads but are reduced in stream order, so the result
+    is identical for any worker count.
+    """
+    per_batch = max(n // _BATCHES, 1)
+
+    def one(k: int) -> list[float]:
+        batch = sample_batch(family, per_batch, RandomStream(rng.seed, rng.stream_id + k))
+        return [float(fn(batch)) for fn in reducers.values()]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(_BATCHES)))
+    else:
+        rows = [one(k) for k in range(_BATCHES)]
+    table = np.asarray(rows)
+    return {name: MonteCarloEstimate(float(table[:, i].mean()),
+                                     float(table[:, i].std(ddof=1) / math.sqrt(_BATCHES)),
+                                     per_batch * _BATCHES)
+            for i, name in enumerate(reducers)}
 
 
 def _mc_values(batch, quantity: str) -> np.ndarray:
@@ -406,33 +399,20 @@ def _mc_values(batch, quantity: str) -> np.ndarray:
 
 def by_monte_carlo(target: MomentTarget, n: int, rng: RandomStream,
                    workers: int = 1) -> MonteCarloEstimate:
-    """Batch-means Monte Carlo estimate from 100 equal batches.
+    """Batch-means Monte Carlo estimate (see :func:`batch_means`).
 
-    Batch k draws from RandomStream(rng.seed, rng.stream_id + k), so the
-    estimate is identical for any worker count.  Divergent targets are
-    estimated anyway but flagged: their batch means never stabilize.
+    Divergent targets are estimated anyway but flagged: their batch means
+    never stabilize.
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 for batch means: {n}")
-    per_batch = n // _MC_BATCHES
     power = 1 if target.statistic == "mean" else 2
 
-    def one_batch(k: int) -> float:
-        stream = RandomStream(rng.seed, rng.stream_id + k)
-        batch = sample_batch(target.family, per_batch, stream)
-        return float(np.mean(_mc_values(batch, target.quantity)**power))
+    def mean_power(batch) -> float:
+        return np.mean(_mc_values(batch, target.quantity)**power)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            means = np.fromiter(pool.map(one_batch, range(_MC_BATCHES)),
-                                dtype=float, count=_MC_BATCHES)
-    else:
-        means = np.fromiter((one_batch(k) for k in range(_MC_BATCHES)),
-                            dtype=float, count=_MC_BATCHES)
-    value = float(means.mean())
-    std_error = float(means.std(ddof=1) / math.sqrt(_MC_BATCHES))
-    return MonteCarloEstimate(value, std_error, per_batch * _MC_BATCHES,
-                              divergent=closed_form(target) == math.inf)
+    estimate = batch_means(target.family, n, rng, {"v": mean_power}, workers)["v"]
+    return replace(estimate, divergent=closed_form(target) == math.inf)
 
 
 def correlation_ab() -> float:
@@ -444,13 +424,14 @@ def correlation_ab() -> float:
 def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10,
               n: int = 10**6, rng: RandomStream | None = None,
               workers: int = 1) -> float:
-    """P(triangle is acute) by closed form, quadrature, or Monte Carlo."""
+    """P(triangle is acute) by closed form, quadrature, or Monte Carlo
+    (:func:`batch_means` over n draws on ``workers`` threads)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if method == "closed":
         return ACUTENESS_CLOSED[family]
     if method == "quadrature":
-        joint = _ANGLE_JOINTS[family]
+        joint = density.CATALOG[f"{family}_angles_joint"].pdf
         spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
                               max_subdivisions=200)
         half = _PI / 2.0
@@ -459,13 +440,11 @@ def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10,
         return r.value
     if method == "mc":
         rng = rng if rng is not None else RandomStream(0)
-        per_batch = max(n // _MC_BATCHES, 1)
-        fractions = []
-        for k in range(_MC_BATCHES):
-            stream = RandomStream(rng.seed, rng.stream_id + k)
-            batch = sample_batch(family, per_batch, stream)
-            fractions.append((batch.angles.max(axis=1) < _PI / 2.0).mean())
-        return float(np.mean(fractions))
+
+        def acute_fraction(batch) -> float:
+            return (batch.angles.max(axis=1) < _PI / 2.0).mean()
+
+        return batch_means(family, n, rng, {"acute": acute_fraction}, workers)["acute"].value
     raise ValueError(f"method must be closed|quadrature|mc: {method!r}")
 
 

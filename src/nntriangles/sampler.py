@@ -13,12 +13,12 @@ uniformT  A = (0,0), B = (1,0); the base angles (alpha, beta) come from two
           independent Uniform[0, pi] draws folded into {alpha + beta < pi},
           and C is the intersection of the two rays.
 
-Every family has a vectorized batch sampler returning a ``SampleBatch`` and
-a scalar wrapper returning a single ``TriangleSample``.  The direct samplers
-use the exact polar/exponential representation; ``sample_pinned_oracle``
-instead simulates a literal Poisson process on an expanding disk and is kept
-as an independent cross-check of ``sample_pinned`` (the two are compared
-distributionally, never draw-by-draw).
+``sample_batch`` draws n rows of any family as one vectorized
+``SampleBatch``.  The direct samplers use the exact polar/exponential
+representation; ``sample_pinned_oracle_batch`` instead simulates a literal
+Poisson process on an expanding disk and is kept as an independent
+cross-check of the pinned sampler (the two are compared distributionally,
+never draw-by-draw).
 
 Draws that round to a degenerate triangle (probability zero in exact
 arithmetic) are redrawn, and each redraw increments the stream's
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import DEGENERACY_TOL, Triangle, TriangleAngles
+from .geom import DEGENERACY_TOL, heron_product
 
 _TWO_PI = 2.0 * math.pi
 _U64_MAX = 2**64 - 1
@@ -78,34 +78,6 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-@dataclass(frozen=True)
-class PlanarPoint:
-    """A point in the plane with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite: ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class TriangleSample:
-    """One labeled draw: vertices plus derived sides and angles.
-
-    Side a is opposite vertex A (it joins B and C), and alpha is the
-    interior angle at A; likewise for b/beta and c/gamma.
-    """
-
-    family: str
-    A: PlanarPoint
-    B: PlanarPoint
-    C: PlanarPoint
-    triangle: Triangle
-    angles: TriangleAngles
 
 
 CSV_HEADER = "family,ax,ay,bx,by,cx,cy,a,b,c,alpha,beta,gamma"
@@ -156,17 +128,8 @@ class SampleBatch:
             return self.sides[:, :2].min(axis=1)
         if name == "area":
             a, b, c = self.sides.T
-            return np.sqrt(_heron(a, b, c)) / 4.0
+            return np.sqrt(heron_product(a, b, c)) / 4.0
         raise KeyError(f"unknown statistic {name!r}")
-
-    def sample(self, i: int) -> TriangleSample:
-        """Row ``i`` as a scalar TriangleSample."""
-        ax, ay, bx, by, cx, cy = (float(v) for v in self.vertices[i])
-        a, b, c = (float(v) for v in self.sides[i])
-        al, be, ga = (float(v) for v in self.angles[i])
-        return TriangleSample(self.family, PlanarPoint(ax, ay), PlanarPoint(bx, by),
-                              PlanarPoint(cx, cy), Triangle(a, b, c),
-                              TriangleAngles(al, be, ga))
 
     def write_csv(self, destination) -> None:
         """Write all rows in the CSV schema, 17 significant digits."""
@@ -184,10 +147,6 @@ def _write_csv_rows(batch: SampleBatch, handle) -> None:
         handle.write(batch.family + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _heron(a, b, c):
-    return (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-
-
 def _sides_from_vertices(vertices: np.ndarray) -> np.ndarray:
     ax, ay, bx, by, cx, cy = vertices.T
     return np.stack([np.hypot(bx - cx, by - cy),
@@ -199,7 +158,7 @@ def _angles_from_sides(sides: np.ndarray) -> np.ndarray:
     """Interior angles via atan2(4*area, law-of-cosines numerator), which
     stays accurate for needle-thin triangles."""
     a, b, c = sides.T
-    root = np.sqrt(np.maximum(_heron(a, b, c), 0.0))
+    root = np.sqrt(np.maximum(heron_product(a, b, c), 0.0))
     return np.stack([np.arctan2(root, b * b + c * c - a * a),
                      np.arctan2(root, a * a + c * c - b * b),
                      np.arctan2(root, a * a + b * b - c * c)], axis=1)
@@ -307,53 +266,21 @@ def _attempt_uniform_t(count: int, gen: np.random.Generator):
     return verts, np.stack([alpha, beta, gamma], axis=1)
 
 
-def sample_pinned_batch(n: int, rng: RandomStream) -> SampleBatch:
-    """n pinned triangles; every row satisfies c < b and a < 2b."""
-    return _fill_batch("pinned", n, rng, _attempt_pinned)
-
-
-def sample_staked_batch(n: int, rng: RandomStream) -> SampleBatch:
-    return _fill_batch("staked", n, rng, _attempt_staked)
-
-
-def sample_anchored_batch(n: int, rng: RandomStream) -> SampleBatch:
-    return _fill_batch("anchored", n, rng, _attempt_anchored)
-
-
-def sample_uniform_t_batch(n: int, rng: RandomStream) -> SampleBatch:
-    return _fill_batch("uniformT", n, rng, _attempt_uniform_t)
-
-
-_BATCH_SAMPLERS = {
-    "pinned": sample_pinned_batch,
-    "staked": sample_staked_batch,
-    "anchored": sample_anchored_batch,
-    "uniformT": sample_uniform_t_batch,
+_ATTEMPTS = {
+    "pinned": _attempt_pinned,
+    "staked": _attempt_staked,
+    "anchored": _attempt_anchored,
+    "uniformT": _attempt_uniform_t,
 }
 
 
 def sample_batch(family: str, n: int, rng: RandomStream) -> SampleBatch:
-    """Batch dispatcher over the family name."""
+    """n triangles of one family (pinned rows satisfy c < b and a < 2b)."""
     try:
-        return _BATCH_SAMPLERS[family](n, rng)
+        attempt = _ATTEMPTS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
-
-
-def sample_pinned(rng: RandomStream) -> TriangleSample:
-    return sample_pinned_batch(1, rng).sample(0)
-
-
-def sample_staked(rng: RandomStream) -> TriangleSample:
-    return sample_staked_batch(1, rng).sample(0)
-
-
-def sample_anchored(rng: RandomStream) -> TriangleSample:
-    return sample_anchored_batch(1, rng).sample(0)
-
-
-def sample_uniform_T(rng: RandomStream) -> TriangleSample:
-    return sample_uniform_t_batch(1, rng).sample(0)
+    return _fill_batch(family, n, rng, attempt)
 
 
 def _disk_counts_and_points(gen, rows, lo_sq, hi_sq):
@@ -420,7 +347,3 @@ def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:
         verts[redraw] = patch.vertices
         sides[redraw] = patch.sides
     return SampleBatch("pinned", verts, sides, _angles_from_sides(sides))
-
-
-def sample_pinned_oracle(rng: RandomStream) -> TriangleSample:
-    return sample_pinned_oracle_batch(1, rng).sample(0)

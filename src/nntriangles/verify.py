@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor stays bound here for the benchmark's tracer (perfbench/tracing.py).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,17 @@ from .gof import (
     KS_MATRIX,
     EmpiricalSample,
     chi_square_region,
+    ks_battery,
     ks_one_sample,
     ks_two_sample,
+    quadrature_pieces,
 )
 from .numerics import (
     CATALAN,
+    SIN2_JAC,
+    SIN2_NODES,
+    SIN2_ROWS,
+    SIN2_WEIGHTS,
     QuadratureSpec,
     bessel_i0,
     erfc,
@@ -100,79 +107,32 @@ def suite_passed(results: list[CheckResult]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shared Monte Carlo plumbing: 100 fixed substreams, reduced in stream order
-# ---------------------------------------------------------------------------
-
-_BATCHES = 100
-
-
-def _batch_means(family: str, total: int, seed: int, base_stream: int,
-                 reducers: dict, workers: int) -> dict[str, np.ndarray]:
-    """Per-batch values of several statistics from one set of substreams.
-
-    ``reducers`` maps a name to a function of a sample batch returning a
-    scalar; the result maps each name to its 100 per-batch values, in
-    stream order regardless of ``workers``.
-    """
-    chunk = max(total // _BATCHES, 10)
-
-    def one(k: int) -> list[float]:
-        batch = sample_batch(family, chunk, RandomStream(seed, base_stream + k))
-        return [float(fn(batch)) for fn in reducers.values()]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(_BATCHES)))
-    else:
-        rows = [one(k) for k in range(_BATCHES)]
-    table = np.asarray(rows)
-    return {name: table[:, i] for i, name in enumerate(reducers)}
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
-
-
-# ---------------------------------------------------------------------------
 # quadrature helpers for the normalization and marginal-consistency groups
 # ---------------------------------------------------------------------------
 
 def _univariate_mass(kind, tol: float) -> float:
     """Total mass of a univariate catalog density, split at its corners."""
-    from .gof import _EXTRA_EDGES, _truncation_point
-
-    lo, hi = kind.support[0]
-    upper = hi if kind.tail == "finite" else _truncation_point(kind, tol)
-    cuts = sorted({lo, upper,
-                   *(s for s in kind.singular_points if lo < s < upper),
-                   *(p for p in _EXTRA_EDGES.get(kind.tag, ()) if lo < p < upper)})
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        touch_lo = any(math.isclose(a, s) for s in kind.singular_points)
-        touch_hi = any(math.isclose(b, s) for s in kind.singular_points)
-        mode = {(False, False): "none", (True, False): "left",
-                (False, True): "right", (True, True): "both"}[(touch_lo, touch_hi)]
+    for a, b, mode in quadrature_pieces(kind, tol):
         spec = QuadratureSpec(abs_tol=0.05 * tol, rel_tol=0.1 * tol, singularity=mode)
         total += integrate_1d(kind.pdf, a, b, spec).value
     return total
 
 
 def _pair_ac_fixed(a, c) -> np.ndarray:
-    """The (a, c) joint evaluated by the fixed endpoint-desingularized rule
-    (the b-integral under b = lo + (hi-lo) sin^2 t); broadcasts a and c, and
-    runs in row slices as moments._inner_a_integral does."""
+    """The (a, c) joint evaluated by the fixed sin^2 rule over b; broadcasts
+    a and c, and runs in row slices."""
     a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
     shape = a.shape
     a, c = a.ravel(), c.ravel()
     lo = np.maximum(c, a - c)
     width = a + c - lo
     out = np.empty(a.size)
-    for start in range(0, a.size, moments._INNER_ROWS):
-        i = slice(start, start + moments._INNER_ROWS)
-        b = lo[i, None] + width[i, None] * moments._INNER_SIN2
+    for start in range(0, a.size, SIN2_ROWS):
+        i = slice(start, start + SIN2_ROWS)
+        b = lo[i, None] + width[i, None] * SIN2_NODES
         vals = pdf_pinned_sides_joint(a[i, None], b, c[i, None])
-        out[i] = (vals * (width[i, None] * moments._INNER_JAC
-                          * moments._INNER_W)).sum(axis=1)
+        out[i] = (vals * (width[i, None] * SIN2_JAC * SIN2_WEIGHTS)).sum(axis=1)
     return out.reshape(shape)
 
 
@@ -318,7 +278,7 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
             continue
         tol = 1e-6 if kind.singular_points else 1e-8
         mass = _univariate_mass(kind, 0.1 * tol)
-        rows.append(_near(f"normalization:{tag}", _family_of(tag), 1.0, mass, tol))
+        rows.append(_near(f"normalization:{tag}", kind.family, 1.0, mass, tol))
     b_hi = gaussian_tail_cutoff(_PI, 5, 1e-11)
     mass_ab = integrate_2d(lambda b, a: CATALOG["pair_ab"].pdf(a, b),
                            0.0, b_hi, lambda b: (0.0, 2.0 * b),
@@ -341,7 +301,7 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
                        ("anchored_angles_joint", pdf_anchored_angles_joint)):
         mass = integrate_2d(joint, 0.0, _PI, lambda a: (0.0, _PI - a),
                             QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-        rows.append(_near(f"normalization:{tag}", _family_of(tag), 1.0, mass, 1e-8))
+        rows.append(_near(f"normalization:{tag}", CATALOG[tag].family, 1.0, mass, 1e-8))
     (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a),
                                          tol=3e-7, pieces=("full",))
     rows.append(_near("normalization:pinned_sides_joint", "pinned", 1.0,
@@ -424,48 +384,47 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
         pinned_reducers[name] = (lambda b, q=quantity, s=statistic:
                                  float(np.mean(moments._mc_values(b, q)
                                                ** (2.0 if s == "mean-square" else 1.0))))
-    pinned_mc = _batch_means("pinned", mc_samples, seed, 1000, pinned_reducers, workers)
+    pinned_mc = moments.batch_means("pinned", mc_samples, RandomStream(seed, 1000),
+                                    pinned_reducers, workers)
     for family, quantity, statistic in sorted(quad_values):
         if family != "pinned":
             continue
-        value, se = _mean_se(pinned_mc[f"{quantity}:{statistic}"])
+        mc = pinned_mc[f"{quantity}:{statistic}"]
         rows.append(_near(f"monte-carlo:pinned:{quantity}:{statistic}", "pinned",
-                          quad_values[(family, quantity, statistic)], value,
-                          3.0 * se))
-    value, se = _mean_se(pinned_mc["obtuse"])
-    rows.append(_near("monte-carlo:pinned:obtuseness", "pinned", 0.75, value, 3.0 * se))
+                          quad_values[(family, quantity, statistic)], mc.value,
+                          3.0 * mc.std_error))
+    mc = pinned_mc["obtuse"]
+    rows.append(_near("monte-carlo:pinned:obtuseness", "pinned", 0.75, mc.value,
+                      3.0 * mc.std_error))
     corr_closed = moments.correlation_ab()
     rows.append(_near("correlation:pinned-ab-closed-vs-published", "pinned",
                       0.636, corr_closed, 1e-3))
-    value, se = _mean_se(pinned_mc["corr_ab"])
+    mc = pinned_mc["corr_ab"]
     rows.append(_near("correlation:pinned-ab-monte-carlo", "pinned",
-                      corr_closed, value, max(3.0 * se, 1e-3)))
+                      corr_closed, mc.value, max(3.0 * mc.std_error, 1e-3)))
 
-    big_mc = _batch_means("pinned", big_mc_samples, seed, 1200,
-                          {"ac": lambda b: float((b.sides[:, 0] * b.sides[:, 2]).mean())},
-                          workers)
-    value, se = _mean_se(big_mc["ac"])
+    mc = moments.batch_means("pinned", big_mc_samples, RandomStream(seed, 1200),
+                             {"ac": lambda b: float((b.sides[:, 0] * b.sides[:, 2]).mean())},
+                             workers)["ac"]
     rows.append(_near("expected-ac:monte-carlo-vs-quadrature", "pinned",
-                      eac.value, value, 3.0 * se))
+                      eac.value, mc.value, 3.0 * mc.std_error))
 
+    # mc_samples // 5 draws per group, but at least 10 rows per batch
+    small = max(mc_samples // 5, 1000)
     for family, quantity, base in (("staked", "beta", 1400), ("anchored", "alpha", 1600),
                                    ("anchored", "alphabeta", 1800)):
-        mc = _batch_means(family, mc_samples // 5, seed, base,
-                          {"v": lambda b, q=quantity: float(np.mean(moments._mc_values(b, q)))},
-                          workers)
-        value, se = _mean_se(mc["v"])
-        expected = moments.by_quadrature(moments.MomentTarget(family, quantity, "mean"),
-                                         tol=1e-8).value
+        target = moments.MomentTarget(family, quantity, "mean")
+        mc = moments.by_monte_carlo(target, small, RandomStream(seed, base), workers)
+        expected = moments.by_quadrature(target, tol=1e-8).value
         rows.append(_near(f"monte-carlo:{family}:{quantity}:mean", family,
-                          expected, value, 3.0 * se))
+                          expected, mc.value, 3.0 * mc.std_error))
         if quantity != "alphabeta":
-            obtuse_mc = _batch_means(family, mc_samples // 5, seed, base + 100,
+            mc = moments.batch_means(family, small, RandomStream(seed, base + 100),
                                      {"acute": lambda b: float((b.angles.max(axis=1) < 0.5 * _PI).mean())},
-                                     workers)
-            value, se = _mean_se(obtuse_mc["acute"])
+                                     workers)["acute"]
             closed = moments.acuteness(family, "closed")
             rows.append(_near(f"acuteness:{family}-monte-carlo", family,
-                              closed, value, 3.0 * se))
+                              closed, mc.value, 3.0 * mc.std_error))
 
     # --- marginal consistency -------------------------------------------------
     side_points = np.linspace(0.12, 2.4, 20)
@@ -486,23 +445,10 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
                       0.0, _uT_ratio_identity_deviation(), 1e-12))
 
     # --- the KS matrix, extras, and negative controls --------------------------
-    families: list[str] = []
-    for _, family, _ in KS_MATRIX:
-        if family not in families:
-            families.append(family)
-    batches = {family: sample_batch(family, ks_samples, RandomStream(seed, stream))
-               for stream, family in enumerate(families)}
-    for tag, family, statistic in KS_MATRIX:
-        sample = EmpiricalSample.from_values(batches[family].statistic(statistic),
-                                             f"{family}:{statistic}")
-        report = ks_one_sample(sample, tag, alpha)
-        rows.append(CheckResult(f"ks:{tag}", family, 0.0, report.statistic,
-                                report.threshold, report.verdict))
-    for tag, statistic in (("uT_max", "max_ab"), ("uT_min", "min_ab")):
-        sample = EmpiricalSample.from_values(batches["uniformT"].statistic(statistic),
-                                             f"uniformT:{statistic}")
-        report = ks_one_sample(sample, tag, alpha)
-        rows.append(CheckResult(f"ks:{tag}", "uniformT", 0.0, report.statistic,
+    tags = [tag for tag, _, _ in KS_MATRIX] + ["uT_max", "uT_min"]
+    batches, reports = ks_battery(ks_samples, seed, tags, alpha)
+    for tag, report in zip(tags, reports):
+        rows.append(CheckResult(f"ks:{tag}", CATALOG[tag].family, 0.0, report.statistic,
                                 report.threshold, report.verdict))
     neg1 = ks_one_sample(EmpiricalSample.from_values(batches["pinned"].statistic("b"),
                                                      "pinned:b"),
@@ -564,16 +510,6 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
     if inject_failure is not None:
         rows = _inject(rows, inject_failure)
     return rows
-
-
-def _family_of(tag: str) -> str:
-    if tag.startswith(("pinned", "ratio", "pair")):
-        return "pinned"
-    if tag.startswith("staked"):
-        return "staked"
-    if tag.startswith("anchored"):
-        return "anchored"
-    return "uniformT"
 
 
 def _inject(rows: list[CheckResult], check_name: str) -> list[CheckResult]:

@@ -6,9 +6,12 @@ reachable through both ``pdf`` and ``plot``.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import pathlib
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -178,6 +181,7 @@ def test_pdf_points_univariate_and_multivariate():
     ["pdf", "--kind", "pinned_c", "--grid", "1:0:4"],       # empty span
     ["pdf", "--kind", "pair_ab", "--points", "1.0"],        # wrong arity
     ["pdf", "--kind", "pair_ab", "--points", "1.0,2.0,3.0"],
+    ["pdf", "--kind", "pinned_c", "--grid", "0:1:100000000000"],  # above the limit
 ])
 def test_pdf_usage_errors(argv):
     code, _, err = run_cli(argv)
@@ -381,3 +385,20 @@ def test_plot_default_output_name(tmp_path, monkeypatch):
     code, _, err = run_cli(["plot", "--kind", "ratio_c_over_b", "-n", "500"])
     assert code == 0, err
     assert (tmp_path / "ratio_c_over_b.svg").exists()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+# ---------------------------------------------------------------------------
+
+def test_benchmark_tracer_installs(monkeypatch):
+    # perfbench/tracing.py rebinds names in the package's modules and
+    # refuses to install when one has moved or gone, so a refactor that
+    # breaks the benchmark fails here too.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer():
+        pass

@@ -12,9 +12,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from nntriangles import density
+from nntriangles import density, gof
 from nntriangles.density import CATALOG, kinds, pdf
+from nntriangles.gof import KS_MATRIX
 from nntriangles.numerics import QuadratureSpec, integrate_1d
+from nntriangles.sampler import FAMILIES, RandomStream, sample_batch
 
 PI = math.pi
 
@@ -50,6 +52,24 @@ def test_catalog_metadata_consistency():
             assert kind.tail_power > 1.0  # integrable tail
         if kind.tail == "finite" and kind.arity == 1:
             assert math.isfinite(kind.support[0][1])
+        assert kind.family in FAMILIES
+        if kind.arity == 1:
+            batch = sample_batch(kind.family, 200, RandomStream(1))
+            assert batch.statistic(kind.statistic).shape == (200,)
+            assert kind.marginal is None
+            lo, hi = kind.support[0]
+            for p in kind.breakpoints:
+                assert lo < p < hi
+        else:
+            assert kind.statistic is None and kind.breakpoints == ()
+            marginal = CATALOG[kind.marginal]
+            assert marginal.arity == 1 and marginal.family == kind.family
+    # one univariate kind per sampled statistic, so moments can look a
+    # marginal up by (family, statistic)
+    sources = [(k.family, k.statistic) for k in CATALOG.values() if k.arity == 1]
+    assert len(set(sources)) == len(sources)
+    for tag, family, statistic in KS_MATRIX:
+        assert (family, statistic) == (CATALOG[tag].family, CATALOG[tag].statistic)
 
 
 def test_shared_marginal_objects():
@@ -58,6 +78,9 @@ def test_shared_marginal_objects():
     # so these catalog entries share one evaluator.
     assert CATALOG["anchored_beta"].pdf is CATALOG["anchored_alpha"].pdf
     assert CATALOG["uT_ratio"].pdf is CATALOG["uT_side_a"].pdf
+    # ... and one distribution-function grid
+    assert gof._grid(CATALOG["anchored_beta"]) is gof._grid(CATALOG["anchored_alpha"])
+    assert gof._grid(CATALOG["uT_ratio"]) is gof._grid(CATALOG["uT_side_a"])
 
 
 def test_dispatcher_routes_and_rejects():
@@ -83,6 +106,7 @@ def test_scalar_and_array_shapes():
 # support boundaries
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tag", UNIVARIATE)
 def test_zero_outside_support(tag):
     kind = CATALOG[tag]
@@ -92,6 +116,9 @@ def test_zero_outside_support(tag):
     assert kind.pdf(lo) == 0.0  # open at the lower endpoint
     if math.isfinite(hi):
         assert kind.pdf(hi + 0.3) == 0.0
+    assert kind.pdf(math.inf) == 0.0
+    assert kind.pdf(-math.inf) == 0.0
+    np.testing.assert_array_equal(kind.pdf(np.array([-math.inf, math.inf])), 0.0)
 
 
 def test_joint_support_conditions():

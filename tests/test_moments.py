@@ -252,6 +252,8 @@ def test_acuteness_quadrature_matches_closed():
 def test_acuteness_monte_carlo():
     mc = moments.acuteness("pinned", "mc", n=20000, rng=RandomStream(3, 800))
     assert mc == pytest.approx(0.25, abs=0.02)
+    assert moments.acuteness("pinned", "mc", n=20000, rng=RandomStream(3, 800),
+                             workers=2) == mc
 
 
 def test_acuteness_rejects_bad_arguments():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from nntriangles import density, moments
-from nntriangles.numerics import (CATALAN, IntegrandError, MonotoneCubic,
+from nntriangles.numerics import (CATALAN, SIN2_JAC, SIN2_NODES, SIN2_WEIGHTS,
+                                  IntegrandError, MonotoneCubic,
                                   QuadratureSpec, _segment_sums, bessel_i0, erfc,
                                   fixed_panel_integrals, gaussian_tail_cutoff,
                                   integrate_1d, integrate_2d, integrate_batch)
@@ -228,11 +229,10 @@ def test_inner_a_integral_matches_catalog_density_rule(weight):
     a_hi = b + c - 0.3 * c * rng.random(n)
     fast = moments._inner_a_integral(weight, b, c, a_lo, a_hi)
     width = (a_hi - a_lo)[:, None]
-    a = a_lo[:, None] + width * moments._INNER_SIN2[None, :]
+    a = a_lo[:, None] + width * SIN2_NODES[None, :]
     vals = weight(a, b[:, None], c[:, None]) * density.pdf_pinned_sides_joint(
         a, b[:, None], c[:, None])
-    reference = (vals * (width * moments._INNER_JAC[None, :]
-                         * moments._INNER_W[None, :])).sum(axis=1)
+    reference = (vals * (width * SIN2_JAC[None, :] * SIN2_WEIGHTS[None, :])).sum(axis=1)
     assert np.all(reference > 0.0)
     np.testing.assert_allclose(fast, reference, rtol=1e-14, atol=0.0)
 

@@ -16,10 +16,8 @@ from nntriangles import geom, sampler
 from nntriangles.sampler import (
     CSV_HEADER,
     FAMILIES,
-    PlanarPoint,
     RandomStream,
     SampleBatch,
-    TriangleSample,
     sample_batch,
     sample_pinned_oracle_batch,
 )
@@ -51,13 +49,6 @@ def test_stream_reproducibility_and_separation():
     d = RandomStream(12, 4).generator.random(5)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_planar_point_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        PlanarPoint(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        PlanarPoint(0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +95,6 @@ def test_batch_internal_consistency(family):
     np.testing.assert_allclose(batch.angles[:, 0], expected, atol=1e-6)
     np.testing.assert_allclose(batch.angles.sum(axis=1), PI, atol=1e-9)
     assert (batch.angles > 0).all() and (batch.angles < PI).all()
-
-
-def test_scalar_wrappers_return_samples():
-    for fn, family in ((sampler.sample_pinned, "pinned"),
-                       (sampler.sample_staked, "staked"),
-                       (sampler.sample_anchored, "anchored"),
-                       (sampler.sample_uniform_T, "uniformT")):
-        s = fn(RandomStream(5))
-        assert isinstance(s, TriangleSample)
-        assert s.family == family
-        assert s.triangle.slack() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +155,7 @@ def test_uniform_t_geometry_and_marginals():
 
 
 # ---------------------------------------------------------------------------
-# derived statistics and row access
+# derived statistics and CSV output
 # ---------------------------------------------------------------------------
 
 def test_statistic_names_and_values():
@@ -197,16 +177,6 @@ def test_statistic_names_and_values():
 
     with pytest.raises(KeyError):
         batch.statistic("perimeter")
-
-
-def test_sample_row_round_trip():
-    batch = sample_batch("anchored", 10, RandomStream(13))
-    s = batch.sample(3)
-    assert isinstance(s, TriangleSample)
-    assert s.family == "anchored"
-    assert (s.A.x, s.A.y) == (batch.vertices[3, 0], batch.vertices[3, 1])
-    assert s.triangle.a == batch.sides[3, 0]
-    assert s.angles.alpha == batch.angles[3, 0]
 
 
 def test_write_csv_round_trip():
@@ -262,11 +232,6 @@ def test_oracle_matches_direct_sampler():
     for column in range(3):
         p = stats.ks_2samp(oracle.sides[:, column], direct.sides[:, column]).pvalue
         assert p > 0.001
-
-
-def test_oracle_scalar_wrapper():
-    s = sampler.sample_pinned_oracle(RandomStream(33))
-    assert isinstance(s, TriangleSample) and s.family == "pinned"
 
 
 def test_oracle_reports_generator_breakage(monkeypatch):
