@@ -218,18 +218,17 @@ def cmd_pdf(cfg: RunConfig, kind_tag: str, grid: str | None, points: str | None)
         if kind.arity != 1:
             raise UsageError(
                 f"{kind_tag} takes {kind.arity} coordinates; use --points")
-        coords = [(float(x),) for x in _parse_grid(grid)]
+        coords = _parse_grid(grid)[:, None]
     elif points is not None:
-        coords = _parse_points(points, kind.arity)
+        coords = np.array(_parse_points(points, kind.arity), dtype=float).reshape(-1, kind.arity)
     else:
         raise UsageError("pdf needs --grid start:stop:count or --points")
 
     columns = (["x"] if kind.arity == 1 else
                [f"x{i + 1}" for i in range(kind.arity)]) + ["pdf"]
-    rows = []
-    for point in coords:
-        value = float(kind.pdf(*point))
-        rows.append(dict(zip(columns, [*point, _cell(value)])))
+    values = kind.pdf(*coords.T)
+    rows = [dict(zip(columns, [*point, _cell(value)]))
+            for point, value in zip(coords.tolist(), values.tolist())]
     _write_table(rows, columns, cfg)
     return 0
 

@@ -20,10 +20,12 @@ beta stays small, which pins down which angle enters the exponential
 factor of the joint density.
 
 Every evaluator accepts scalars or ndarrays (broadcasting), returns 0.0
-outside the open support, and returns math.inf at boundary points where
-the density genuinely diverges (collinear side triples, the unit point of
-the uT side/ratio/max densities).  Only ``pdf_pair_ac`` integrates
-internally; everything else is closed-form.
+outside the open support, NaN wherever any coordinate is NaN, and
+math.inf at boundary points where the density genuinely diverges
+(collinear side triples, the unit point of the uT side/ratio/max
+densities).  Only ``pdf_pair_ac`` (adaptively) and the staked and
+anchored angle marginals (by a fixed rule) integrate internally;
+everything else is closed-form.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import numpy as np
 
 from .geom import heron_product
 # integrate_1d stays bound here for the benchmark's tracer (perfbench/tracing.py).
-from .numerics import (GL16_NODES, GL16_WEIGHTS, IntegralResult, QuadratureSpec,  # noqa: F401
-                       erfc, integrate_1d, integrate_batch)
+from .numerics import (GL16_NODES, GL16_WEIGHTS, ROW_SLICE, QuadratureSpec,  # noqa: F401
+                       erfc, integrate_1d, integrate_batch, weighted_sums)
 
 __all__ = [
     "CATALOG",
@@ -60,8 +62,11 @@ class QuadratureError(RuntimeError):
 
 
 def _broadcast(*args):
+    """The coordinates as equal-shape arrays, an output array holding 0.0
+    (NaN where any coordinate is NaN), and whether the call was scalar."""
     arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    return [np.atleast_1d(a) for a in arrs], arrs[0].ndim == 0
+    coords = [np.atleast_1d(a) for a in arrs]
+    return coords, np.where(np.isnan(coords).any(axis=0), np.nan, 0.0), arrs[0].ndim == 0
 
 
 def _finish(out: np.ndarray, scalar: bool):
@@ -79,8 +84,7 @@ def pdf_pinned_sides_joint(x, y, z):
     where D is the Heron product; infinite on the collinear boundary
     x = y +- z, zero elsewhere.
     """
-    (X, Y, Z), scalar = _broadcast(x, y, z)
-    out = np.zeros_like(X)
+    (X, Y, Z), out, scalar = _broadcast(x, y, z)
     closure = (Z > 0.0) & (Y > Z)
     inside = closure & (X > Y - Z) & (X < Y + Z)
     if inside.any():
@@ -94,8 +98,7 @@ def pdf_pinned_sides_joint(x, y, z):
 
 def pdf_pinned_a(x):
     """Density of the side joining the two Poisson points: pi*x*erfc(sqrt(pi)x/2)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = (X > 0.0) & np.isfinite(X)
     out[m] = _PI * X[m] * erfc(0.5 * math.sqrt(_PI) * X[m])
     return _finish(out, scalar)
@@ -103,8 +106,7 @@ def pdf_pinned_a(x):
 
 def pdf_pinned_b(x):
     """Density of the second-nearest distance: 2*pi^2*x^3*exp(-pi x^2)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = (X > 0.0) & np.isfinite(X)
     out[m] = 2.0 * _PI * _PI * X[m] ** 3 * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
@@ -112,8 +114,7 @@ def pdf_pinned_b(x):
 
 def pdf_pinned_c(x):
     """Density of the nearest distance: 2*pi*x*exp(-pi x^2)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = (X > 0.0) & np.isfinite(X)
     out[m] = 2.0 * _PI * X[m] * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
@@ -126,8 +127,7 @@ def pdf_pinned_c(x):
 def pdf_pinned_angles_joint(x, y):
     """Joint density of (alpha, beta): (2/pi) sin(x) sin(x+y) / sin(y)^3
     on {0 < x < pi, (pi-x)/2 < y < pi-x}."""
-    (X, Y), scalar = _broadcast(x, y)
-    out = np.zeros_like(X)
+    (X, Y), out, scalar = _broadcast(x, y)
     m = (X > 0.0) & (X < _PI) & (Y > 0.5 * (_PI - X)) & (Y < _PI - X)
     if m.any():
         out[m] = (2.0 / _PI) * np.sin(X[m]) * np.sin(X[m] + Y[m]) / np.sin(Y[m]) ** 3
@@ -135,9 +135,10 @@ def pdf_pinned_angles_joint(x, y):
 
 
 def pdf_pinned_alpha(x):
-    """The angle at the origin is uniform on (0, pi)."""
-    (X,), scalar = _broadcast(x)
-    out = np.where((X > 0.0) & (X < _PI), 1.0 / _PI, 0.0)
+    """The angle at the origin is uniform on (0, pi); so is the staked
+    origin angle (``pdf_staked_alpha`` is this function)."""
+    (X,), out, scalar = _broadcast(x)
+    out[(X > 0.0) & (X < _PI)] = 1.0 / _PI
     return _finish(out, scalar)
 
 
@@ -162,8 +163,7 @@ def _even_poly(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
 def pdf_pinned_beta(x):
     """Density of the angle at the nearest point; two trigonometric branches
     meeting at pi/2 with value 1/pi."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
 
     lo = (X >= _BETA_WINDOW) & (X < 0.5 * _PI)
     if lo.any():
@@ -187,8 +187,7 @@ def pdf_pinned_beta(x):
 def pdf_pinned_gamma(x):
     """Density of the angle at the second-nearest point: (4/pi) cos(x)^2 on
     (0, pi/2); this angle is never obtuse."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = (X > 0.0) & (X < 0.5 * _PI)
     out[m] = (4.0 / _PI) * np.cos(X[m]) ** 2
     return _finish(out, scalar)
@@ -200,8 +199,7 @@ def pdf_pinned_gamma(x):
 
 def pdf_ratio_a_over_b(x):
     """(2x/pi) arccos(x/2) on (0, 2)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = (X > 0.0) & (X < 2.0)
     out[m] = (2.0 * X[m] / _PI) * np.arccos(0.5 * X[m])
     return _finish(out, scalar)
@@ -209,8 +207,7 @@ def pdf_ratio_a_over_b(x):
 
 def pdf_ratio_b_over_a(x):
     """1/x^3 - (2/(pi x^3)) arcsin(1/(2x)) on (1/2, inf)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = X > 0.5
     if m.any():
         t = X[m]
@@ -220,8 +217,7 @@ def pdf_ratio_b_over_a(x):
 
 def pdf_ratio_b_over_c(x):
     """2/x^3 on (1, inf)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m = X > 1.0
     out[m] = 2.0 / X[m] ** 3
     return _finish(out, scalar)
@@ -229,8 +225,9 @@ def pdf_ratio_b_over_c(x):
 
 def pdf_ratio_c_over_b(x):
     """2x on (0, 1)."""
-    (X,), scalar = _broadcast(x)
-    out = np.where((X > 0.0) & (X < 1.0), 2.0 * X, 0.0)
+    (X,), out, scalar = _broadcast(x)
+    m = (X > 0.0) & (X < 1.0)
+    out[m] = 2.0 * X[m]
     return _finish(out, scalar)
 
 
@@ -254,8 +251,7 @@ _RATIO_WINDOW = 0.03
 def pdf_ratio_c_over_a(x):
     """Two algebraic branches split at x = 1/2; the singularity at x = 1 is
     removable (value ~0.27566)."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m1 = (X > 0.0) & (X < 0.5)
     if m1.any():
         t = X[m1]
@@ -276,8 +272,7 @@ def pdf_ratio_c_over_a(x):
 
 def pdf_ratio_a_over_c(x):
     """Mirror of pdf_ratio_c_over_a under x -> 1/x; branches split at x = 2."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m1 = (X > 0.0) & (X < 2.0) & (np.abs(X - 1.0) >= _RATIO_WINDOW)
     if m1.any():
         t = X[m1]
@@ -302,8 +297,7 @@ def pdf_ratio_a_over_c(x):
 
 def pdf_pair_ab(x, y):
     """Joint density of (a, b): 4*pi*a*b*exp(-pi b^2) arccos(a/(2b)) on 0 < a < 2b."""
-    (X, Y), scalar = _broadcast(x, y)
-    out = np.zeros_like(X)
+    (X, Y), out, scalar = _broadcast(x, y)
     m = (X > 0.0) & (Y > 0.0) & (X < 2.0 * Y)
     if m.any():
         a, b = X[m], Y[m]
@@ -313,8 +307,7 @@ def pdf_pair_ab(x, y):
 
 def pdf_pair_bc(x, y):
     """Joint density of (b, c): 4*pi^2*b*c*exp(-pi b^2) on 0 < c < b."""
-    (X, Y), scalar = _broadcast(x, y)
-    out = np.zeros_like(X)
+    (X, Y), out, scalar = _broadcast(x, y)
     m = (Y > 0.0) & (X > Y)
     if m.any():
         b, c = X[m], Y[m]
@@ -336,8 +329,7 @@ def pdf_pair_ac(a, c, tol: float = 1e-10):
     points are integrated as one batch.  Raises QuadratureError if the
     requested tolerance cannot be met at some point.
     """
-    (A, C), scalar = _broadcast(a, c)
-    out = np.where(np.isnan(A) | np.isnan(C), np.nan, 0.0)
+    (A, C), out, scalar = _broadcast(a, c)
     m = (A > 0.0) & (C > 0.0) & np.isfinite(A) & np.isfinite(C)
     m[m] = np.maximum(C[m], A[m] - C[m]) < _PAIR_AC_ZERO_FROM
     if m.any():
@@ -381,8 +373,7 @@ def pdf_staked_angles_joint(alpha, beta):
     vertex, which is what the Poisson nearest-neighbor law suppresses; the
     alpha marginal is exactly uniform on (0, pi).
     """
-    (A, B), scalar = _broadcast(alpha, beta)
-    out = np.zeros_like(A)
+    (A, B), out, scalar = _broadcast(alpha, beta)
     m = (A > 0.0) & (B > 0.0) & (A + B < _PI)
     if m.any():
         a, b = A[m], B[m]
@@ -398,8 +389,7 @@ def pdf_anchored_angles_joint(alpha, beta):
     2 * exp(-(pi/4)(sin(alpha-beta)^2 + 4 sin(alpha)^2 sin(beta)^2)
             / sin(alpha+beta)^2) * sin(alpha) sin(beta) / sin(alpha+beta)^3.
     """
-    (A, B), scalar = _broadcast(alpha, beta)
-    out = np.zeros_like(A)
+    (A, B), out, scalar = _broadcast(alpha, beta)
     m = (A > 0.0) & (B > 0.0) & (A + B < _PI)
     if m.any():
         a, b = A[m], B[m]
@@ -423,16 +413,17 @@ def _angle_marginal(joint: Callable, x, marginal_of_first: bool):
     ends of the partner's range (0, pi - x), so the range is split into a
     quadratically graded layer at each end plus an interior handled in the
     cot(partner) variable, where the remaining integrand is slowly varying.
-    The layer width tracks x, keeping every piece resolved at any x.
+    The layer width tracks x, keeping every piece resolved at any x.  Points
+    run ROW_SLICE at a time, each integrated on its own.
     """
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
-    m = (X > 0.0) & (X < _PI)
-    if m.any():
-        xs = X[m][:, None]
+    (X,), out, scalar = _broadcast(x)
+    m = np.flatnonzero((X > 0.0) & (X < _PI))
+    t = _T01[None, :]
+    for start in range(0, m.size, ROW_SLICE):
+        rows = m[start:start + ROW_SLICE]
+        xs = X[rows][:, None]
         span = _PI - xs
         cut = np.minimum(20.0 * xs, 0.25 * span)
-        t = _T01[None, :]
         layer = cut * t * t
         layer_jac = 2.0 * cut * t
         cot_hi = 1.0 / np.tan(cut)
@@ -444,15 +435,8 @@ def _angle_marginal(joint: Callable, x, marginal_of_first: bool):
         for partner, jac in ((layer, layer_jac), (span - layer, layer_jac),
                              (interior, interior_jac)):
             vals = joint(xs, partner) if marginal_of_first else joint(partner, xs)
-            total = total + (vals * jac * _W01[None, :]).sum(axis=1)
-        out[m] = total
-    return _finish(out, scalar)
-
-
-def pdf_staked_alpha(x):
-    """Marginal of the staked origin angle: uniform, 1/pi on (0, pi)."""
-    (X,), scalar = _broadcast(x)
-    out = np.where((X > 0.0) & (X < _PI), 1.0 / _PI, 0.0)
+            total = total + weighted_sums(vals * jac, _W01)
+        out[rows] = total
     return _finish(out, scalar)
 
 
@@ -467,6 +451,7 @@ def pdf_anchored_alpha(x):
 
 
 pdf_anchored_beta = pdf_anchored_alpha
+pdf_staked_alpha = pdf_pinned_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +460,7 @@ pdf_anchored_beta = pdf_anchored_alpha
 
 def pdf_uT_sides_joint(x, y):
     """Joint density of the two non-base sides: 2/(pi^2 a b) on |1-a| < b < 1+a."""
-    (X, Y), scalar = _broadcast(x, y)
-    out = np.zeros_like(X)
+    (X, Y), out, scalar = _broadcast(x, y)
     m = (X > 0.0) & (Y > np.abs(1.0 - X)) & (Y < 1.0 + X)
     if m.any():
         out[m] = 2.0 / (_PI * _PI * X[m] * Y[m])
@@ -486,8 +470,7 @@ def pdf_uT_sides_joint(x, y):
 def pdf_uT_side_a(x):
     """Density of one non-base side: (2/pi^2)(log(1+x) - log|1-x|)/x on
     (0, inf), divergent (logarithmically) at x = 1."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m1 = (X > 0.0) & (X < 1.0)
     out[m1] = (4.0 / (_PI * _PI)) * np.arctanh(X[m1]) / X[m1]
     m2 = X > 1.0
@@ -506,8 +489,7 @@ pdf_uT_ratio = pdf_uT_side_a
 def pdf_uT_max(x):
     """Density of max(a, b): (4/pi^2)(log x - log|1-x|)/x on (1/2, inf),
     divergent at x = 1."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m1 = (X > 0.5) & (X < 1.0)
     out[m1] = (8.0 / (_PI * _PI)) * np.arctanh(2.0 * X[m1] - 1.0) / X[m1]
     m2 = X > 1.0
@@ -518,8 +500,7 @@ def pdf_uT_max(x):
 
 def pdf_uT_min(x):
     """Density of min(a, b); two logarithmic branches meeting at 1/2."""
-    (X,), scalar = _broadcast(x)
-    out = np.zeros_like(X)
+    (X,), out, scalar = _broadcast(x)
     m1 = (X > 0.0) & (X <= 0.5)
     out[m1] = (8.0 / (_PI * _PI)) * np.arctanh(X[m1]) / X[m1]
     m2 = X > 0.5

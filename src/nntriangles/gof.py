@@ -34,6 +34,7 @@ from .numerics import (
     fixed_panel_integrals,
     gaussian_tail_cutoff,
     integrate_1d,
+    weighted_sums,
 )
 from .sampler import FAMILIES, RandomStream, SampleBatch, sample_batch
 
@@ -188,27 +189,13 @@ def _grid_edges(kind: DensityKind) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-_PANEL_CHUNK = 2048
-
-
-def _chunked_panel_integrals(pdf, edges: np.ndarray,
-                             singular_edges: tuple) -> np.ndarray:
-    """fixed_panel_integrals in bounded-memory slices (the integral-form
-    marginal densities expand each evaluation point internally)."""
-    parts = []
-    for start in range(0, len(edges) - 1, _PANEL_CHUNK):
-        block = edges[start:start + _PANEL_CHUNK + 1]
-        parts.append(fixed_panel_integrals(pdf, block, singular_edges))
-    return np.concatenate(parts)
-
-
 class _CdfGrid:
     """Cumulative distribution of one univariate catalog density, accumulated
     once over a dense panel grid and interpolated monotonically."""
 
     def __init__(self, kind: DensityKind):
         edges = _grid_edges(kind)
-        masses = _chunked_panel_integrals(kind.pdf, edges, kind.singular_points)
+        masses = fixed_panel_integrals(kind.pdf, edges, kind.singular_points)
         cdf = np.concatenate(([0.0], np.cumsum(masses)))
         cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
         self.lo = float(edges[0])
@@ -386,8 +373,8 @@ def _cell_probabilities(pdf, xedges: np.ndarray, yedges: np.ndarray) -> np.ndarr
     xn = xmid[:, None] + xhalf[:, None] * GL16_NODES[None, :]    # (nx, 16)
     yn = ymid[:, None] + yhalf[:, None] * GL16_NODES[None, :]    # (ny, 16)
     vals = pdf(xn[:, None, :, None], yn[None, :, None, :])       # (nx, ny, 16, 16)
-    w = GL16_WEIGHTS[:, None] * GL16_WEIGHTS[None, :]
-    cells = (vals * w).sum(axis=(2, 3))
+    w = (GL16_WEIGHTS[:, None] * GL16_WEIGHTS[None, :]).ravel()
+    cells = weighted_sums(vals.reshape(*vals.shape[:2], -1), w)
     return cells * (xhalf[:, None] * yhalf[None, :])
 
 

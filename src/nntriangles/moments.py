@@ -27,9 +27,8 @@ import numpy as np
 
 from . import density
 from .geom import heron_product
-from .numerics import (CATALAN, SIN2_JAC, SIN2_NODES, SIN2_ROWS, SIN2_WEIGHTS,
-                       IntegralResult, QuadratureSpec, bessel_i0, erfc,
-                       gaussian_tail_cutoff, integrate_1d, integrate_2d)
+from .numerics import (CATALAN, IntegralResult, QuadratureSpec, bessel_i0, erfc,
+                       gaussian_tail_cutoff, integrate_1d, integrate_2d, sin2_integrals)
 from .sampler import RandomStream, sample_batch
 
 _PI = math.pi
@@ -236,27 +235,20 @@ def _pair_side_moment(quantity: str, power: int, tol: float) -> IntegralResult:
     return integrate_2d(f, 0.0, b_hi, lambda b: (np.zeros_like(b), b), spec)
 
 
-# The innermost side-a integrals use the fixed sin^2 rule: it turns the
-# inverse-square-root edges of the trivariate side density into a smooth
-# integrand on (0, pi/2).
-_INNER_JW = SIN2_JAC * SIN2_WEIGHTS
-
-
 def _inner_a_integral(weight, b, c, a_lo, a_hi):
-    """Fixed-rule integral over a of weight * trivariate density, per row.
+    """Integral over a of weight * trivariate density, per row, by the fixed
+    sin^2 rule (it turns the density's inverse-square-root edges into a
+    smooth integrand).
 
     Needs 0 < c < b and [a_lo, a_hi] inside [b - c, b + c], so every node is
     interior to the support; the a-independent factor 8 pi b c exp(-pi b^2)
     of the density is applied once per row instead of once per node.
     """
-    width = a_hi - a_lo
-    rule = np.empty(len(b))
-    for start in range(0, len(b), SIN2_ROWS):
-        i = slice(start, start + SIN2_ROWS)
-        a = a_lo[i, None] + width[i, None] * SIN2_NODES[None, :]
-        B, C = b[i, None], c[i, None]
-        rule[i] = (weight(a, B, C) * a / np.sqrt(heron_product(a, B, C))) @ _INNER_JW
-    return 8.0 * _PI * b * c * np.exp(-_PI * b * b) * width * rule
+    def g(a, rows):
+        B, C = b[rows, None], c[rows, None]
+        return weight(a, B, C) * a / np.sqrt(heron_product(a, B, C))
+
+    return 8.0 * _PI * b * c * np.exp(-_PI * b * b) * sin2_integrals(g, a_lo, a_hi)
 
 
 def _combine(results: list[IntegralResult]) -> IntegralResult:

@@ -18,6 +18,14 @@ The panel rule is the classic 15-point Kronrod extension of 7-point Gauss,
 with the QUADPACK-style error estimate.  Inverse-square-root endpoint
 singularities are removed exactly by the substitution x = a + (b-a) sin^2(t),
 which turns 1/sqrt(x-a) and 1/sqrt(b-x) factors into smooth ones.
+
+Every fixed-node rule in the package -- the G7-K15 panels, the sin^2 rule of
+:func:`sin2_integrals`, the angle marginals and the chi-square cells --
+reduces its node values with :func:`weighted_sums`, and the adaptive
+engine totals its panels per integral; both sum each row on its own in the
+pairwise order of ``ndarray.sum`` (:func:`_pairwise_sums`, no BLAS call).
+So a row's result does not depend on how many other rows share its call:
+batching, slicing and chunking leave every number bit for bit unchanged.
 """
 
 from __future__ import annotations
@@ -32,10 +40,7 @@ __all__ = [
     "CATALAN",
     "GL16_NODES",
     "GL16_WEIGHTS",
-    "SIN2_JAC",
-    "SIN2_NODES",
-    "SIN2_ROWS",
-    "SIN2_WEIGHTS",
+    "ROW_SLICE",
     "BatchResult",
     "IntegralResult",
     "IntegrandError",
@@ -48,6 +53,8 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "integrate_batch",
+    "sin2_integrals",
+    "weighted_sums",
 ]
 
 # Catalan's constant, sum_k (-1)^k / (2k+1)^2.
@@ -108,20 +115,17 @@ _EPS = np.finfo(float).eps
 # and the sin^2 rule below).
 GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# Fixed rule for integrands with inverse-square-root factors at both ends
-# of (lo, hi): under x = lo + (hi - lo) sin^2 t, six 16-point panels on
-# t in (0, pi/2), so the integral is about
-# (hi - lo) * sum_j g(lo + (hi - lo) SIN2_NODES[j]) SIN2_JAC[j] SIN2_WEIGHTS[j].
+# The sin^2 rule of sin2_integrals: six 16-point panels on t in (0, pi/2)
+# under x = lo + (hi - lo) sin^2 t, each weight carrying its Jacobian.
 _SIN2_PANELS = 6
 _SIN2_T = (math.pi / 2.0) * ((np.arange(_SIN2_PANELS)[:, None] + 0.5
                               + 0.5 * GL16_NODES[None, :]) / _SIN2_PANELS).ravel()
-SIN2_NODES = np.sin(_SIN2_T)**2
-SIN2_JAC = np.sin(2.0 * _SIN2_T)
-SIN2_WEIGHTS = np.tile((math.pi / 4.0) * GL16_WEIGHTS / _SIN2_PANELS, _SIN2_PANELS)
-# Rows per slice when the sin^2 rule runs over many rows at once: keeps the
-# (rows, 96) temporaries in cache, which halves the time per node against
-# whole-batch arrays.
-SIN2_ROWS = 256
+_SIN2_NODES = np.sin(_SIN2_T)**2
+_SIN2_JW = np.sin(2.0 * _SIN2_T) * np.tile((math.pi / 4.0) * GL16_WEIGHTS / _SIN2_PANELS,
+                                            _SIN2_PANELS)
+# Rows per slice when a fixed rule expands many rows into (rows, nodes)
+# arrays: keeps the temporaries in cache and the memory bounded.
+ROW_SLICE = 256
 
 
 class IntegrandError(ValueError):
@@ -185,11 +189,11 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     if np.isnan(fx).any():
         i, j = np.argwhere(np.isnan(fx))[0]
         raise IntegrandError(f"integrand returned NaN at x={x[i, j]!r}")
-    resk = fx @ _WGK
-    resg = fx[:, 1::2] @ _WG7
+    resk = weighted_sums(fx, _WGK)
+    resg = weighted_sums(fx[:, 1::2], _WG7)
     value = resk * half
-    resabs = (np.abs(fx) @ _WGK) * half
-    resasc = (np.abs(fx - 0.5 * resk[:, None]) @ _WGK) * half
+    resabs = weighted_sums(np.abs(fx), _WGK) * half
+    resasc = weighted_sums(np.abs(fx - 0.5 * resk[:, None]), _WGK) * half
     err = np.abs(resk - resg) * half
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
@@ -200,9 +204,11 @@ def _eval_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
 def _pairwise_sums(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis in the pairwise order of ``ndarray.sum``.
 
-    Each row comes out bit for bit as ``row.sum()`` would, so an integral's
-    total does not depend on how many others share its sweep, and a batch of
-    one reproduces the panel sums of a lone integral exactly.
+    Each row comes out bit for bit as ``row.sum()`` would, by elementwise
+    adds across rows, so no row's sum depends on the others.  This is the
+    one reduction behind every panel value (:func:`weighted_sums`) and every
+    integral's total, which is what makes batching transparent: a batch of
+    one reproduces a lone integral exactly, and so does a batch of many.
     """
     n = x.shape[-1]
     if n < 8:
@@ -220,6 +226,18 @@ def _pairwise_sums(x: np.ndarray) -> np.ndarray:
         return out
     half = n // 2 - (n // 2) % 8
     return _pairwise_sums(x[..., :half]) + _pairwise_sums(x[..., half:])
+
+
+def weighted_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j values[..., j] * weights[j], each row reduced on its own.
+
+    The products are summed in the pairwise order of ``ndarray.sum`` by
+    elementwise adds across rows (:func:`_pairwise_sums`), never by BLAS,
+    whose kernels round the last rows of a call differently; so a row's
+    sum does not depend on how many rows share the call, nor on their
+    memory layout.
+    """
+    return _pairwise_sums(values * weights)
 
 
 def _segment_sums(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -327,15 +345,30 @@ def gaussian_tail_cutoff(scale: float, degree: int = 0, tail_fraction: float = 1
         t *= 1.05
 
 
+def _sin2_map(g: Callable, lo: np.ndarray, hi: np.ndarray) -> Callable:
+    """g(x, k) on (lo[k], hi[k]) as a function of t in (0, pi/2) under
+    x = lo + (hi - lo) sin^2 t, Jacobian included."""
+    w = hi - lo
+
+    def mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        st = np.sin(t)
+        return g(lo[k] + w[k] * st * st, k) * w[k] * np.sin(2.0 * t)
+
+    return mapped
+
+
 def integrate_batch(f: Callable, a, b, spec: QuadratureSpec | None = None) -> BatchResult:
     """Integrate f over (a[k], b[k]) for every k at once, b possibly infinite.
 
     f(x, owner) receives the abscissae of every unfinished integral in one
     1-D array, owner[i] being the k that x[i] belongs to, and returns an
     array shaped like x.  Each integral is refined exactly as
-    :func:`integrate_1d` refines it alone; an empty interval (b[k] <= a[k])
-    gives a converged zero without evaluating f.  Infinite upper limits must
-    be shared by the whole batch.
+    :func:`integrate_1d` refines it alone, and its value, error and counts
+    come out bit for bit as in a lone run, because panels are reduced per
+    row (:func:`weighted_sums`) and totalled per integral
+    (:func:`_pairwise_sums`).  An empty interval (b[k] <= a[k]) gives a
+    converged zero without evaluating f.  Infinite upper limits must be
+    shared by the whole batch.
     """
     spec = spec or QuadratureSpec()
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -367,13 +400,7 @@ def integrate_batch(f: Callable, a, b, spec: QuadratureSpec | None = None) -> Ba
 
             r = _adaptive(mapped, np.zeros(run.size), np.ones(run.size), spec)
     elif spec.singularity != "none":
-        w = hi - lo
-
-        def desingularized(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-            st = np.sin(t)
-            return g(lo[k] + w[k] * st * st, k) * w[k] * np.sin(2.0 * t)
-
-        r = _adaptive(desingularized, np.zeros(run.size),
+        r = _adaptive(_sin2_map(g, lo, hi), np.zeros(run.size),
                       np.full(run.size, 0.5 * math.pi), spec)
     else:
         r = _adaptive(g, lo, hi, spec)
@@ -446,6 +473,7 @@ def fixed_panel_integrals(f: Callable, edges: np.ndarray, singular_edges: tuple[
     Used to accumulate distribution functions on a fixed grid.  Panels that
     touch a listed singular edge are evaluated through the sin^2
     substitution so integrable endpoint blow-ups do not spoil the sum.
+    Each panel's value depends on its own edges only.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -454,19 +482,34 @@ def fixed_panel_integrals(f: Callable, edges: np.ndarray, singular_edges: tuple[
     for s in singular_edges:
         regular &= ~np.isclose(lo, s) & ~np.isclose(hi, s)
     if regular.any():
-        vals, _ = _eval_panels(f, lo[regular], hi[regular])
-        out[regular] = vals
-    for i in np.nonzero(~regular)[0]:
-        a, b = float(lo[i]), float(hi[i])
-        w = b - a
-
-        def desing(t: np.ndarray, a=a, w=w) -> np.ndarray:
-            st = np.sin(t)
-            return f(a + w * st * st) * w * np.sin(2.0 * t)
-
-        vals, _ = _eval_panels(desing, np.array([0.0]), np.array([0.5 * math.pi]))
-        out[i] = vals[0]
+        out[regular], _ = _eval_panels(f, lo[regular], hi[regular])
+    singular = ~regular
+    if singular.any():
+        count = int(singular.sum())
+        mapped = _sin2_map(lambda x, k: f(x), lo[singular], hi[singular])
+        owner = np.repeat(np.arange(count), 15)
+        out[singular], _ = _eval_panels(lambda t: mapped(t, owner), np.zeros(count),
+                                        np.full(count, 0.5 * math.pi))
     return out
+
+
+def sin2_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integral of g over (lo[k], hi[k]) for every row k, by a fixed rule.
+
+    For integrands with inverse-square-root factors at both ends: under
+    x = lo + (hi - lo) sin^2 t the integrand is smooth, and six 16-point
+    Gauss-Legendre panels cover t in (0, pi/2).  g(x, rows) receives the
+    (r, 96) nodes of the rows selected by the slice ``rows`` and returns
+    values of that shape.  Rows run ROW_SLICE at a time; each row's result
+    depends on that row only.
+    """
+    width = hi - lo
+    out = np.empty(len(lo))
+    for start in range(0, len(lo), ROW_SLICE):
+        rows = slice(start, start + ROW_SLICE)
+        x = lo[rows, None] + width[rows, None] * _SIN2_NODES
+        out[rows] = weighted_sums(g(x, rows), _SIN2_JW)
+    return width * out
 
 
 _ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)

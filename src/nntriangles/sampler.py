@@ -21,8 +21,10 @@ cross-check of the pinned sampler (the two are compared distributionally,
 never draw-by-draw).
 
 Draws that round to a degenerate triangle (probability zero in exact
-arithmetic) are redrawn, and each redraw increments the stream's
-``resamples`` counter so floating-point pathologies stay observable.
+arithmetic) are redrawn by one loop shared by every sampler, the oracle
+included, for at most ``MAX_DRAW_ROUNDS`` rounds; each redraw increments
+the stream's ``resamples`` counter so floating-point pathologies stay
+observable.
 """
 
 from __future__ import annotations
@@ -181,20 +183,22 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
     if n < 0:
         raise ValueError(f"sample count must be nonnegative: {n}")
     vertices = np.empty((n, 6))
+    sides = np.empty((n, 3))
     angles = np.empty((n, 3))
     pending = np.arange(n)
     for _ in range(MAX_DRAW_ROUNDS):
         if not pending.size:
             break
         verts, angs = attempt(pending.size, rng.generator)
-        sides = _sides_from_vertices(verts)
-        good = _valid_rows(verts, sides)
+        sds = _sides_from_vertices(verts)
+        good = _valid_rows(verts, sds)
         if angs is None:
-            angs = _angles_from_sides(sides)
+            angs = _angles_from_sides(sds)
         else:
             good &= (angs > 0.0).all(axis=1) & (angs < math.pi).all(axis=1)
         rows = pending[good]
         vertices[rows] = verts[good]
+        sides[rows] = sds[good]
         angles[rows] = angs[good]
         rng.resamples += int(pending.size - rows.size)
         pending = pending[~good]
@@ -202,7 +206,6 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
         raise RuntimeError(
             f"{family} sampler: {pending.size} rows still degenerate after "
             f"{MAX_DRAW_ROUNDS} draw rounds")
-    sides = _sides_from_vertices(vertices)
     return SampleBatch(family, vertices, sides, angles)
 
 
@@ -293,8 +296,8 @@ def _disk_counts_and_points(gen, rows, lo_sq, hi_sq):
     return counts, radius * np.cos(theta), radius * np.sin(theta)
 
 
-def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:
-    """n pinned triangles from a literal Poisson-process simulation.
+def _attempt_oracle(count: int, gen: np.random.Generator):
+    """Pinned rows from a literal Poisson-process simulation.
 
     Each row simulates unit-intensity points on a disk of radius 2 around
     the origin, extending the same realization outward (new points only in
@@ -302,12 +305,9 @@ def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:
     current radius — at that point no unseen point can beat the two found.
     Exact distance ties are broken toward the earlier-generated point.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be nonnegative: {n}")
-    gen = rng.generator
-    best_sq = np.full((n, 2), np.inf)
-    best_xy = np.zeros((n, 2, 2))
-    active = np.arange(n)
+    best_sq = np.full((count, 2), np.inf)
+    best_xy = np.zeros((count, 2, 2))
+    active = np.arange(count)
     prev_radius = 0.0
     for radius in ORACLE_RADII:
         counts, xs, ys = _disk_counts_and_points(
@@ -336,14 +336,13 @@ def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:
         raise RuntimeError(
             f"no two neighbors within radius {ORACLE_RADII[-1]}: "
             "generator is producing implausible gaps")
-    verts = np.zeros((n, 6))
+    verts = np.zeros((count, 6))
     verts[:, 2:4] = best_xy[:, 0]
     verts[:, 4:6] = best_xy[:, 1]
-    sides = _sides_from_vertices(verts)
-    redraw = ~_valid_rows(verts, sides)
-    if redraw.any():
-        rng.resamples += int(redraw.sum())
-        patch = sample_pinned_oracle_batch(int(redraw.sum()), rng)
-        verts[redraw] = patch.vertices
-        sides[redraw] = patch.sides
-    return SampleBatch("pinned", verts, sides, _angles_from_sides(sides))
+    return verts, None
+
+
+def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:
+    """n pinned triangles from a literal Poisson-process simulation (see
+    :func:`_attempt_oracle`), degenerate rows redrawn as by every sampler."""
+    return _fill_batch("pinned", n, rng, _attempt_oracle)

@@ -52,10 +52,6 @@ from .gof import (
 )
 from .numerics import (
     CATALAN,
-    SIN2_JAC,
-    SIN2_NODES,
-    SIN2_ROWS,
-    SIN2_WEIGHTS,
     QuadratureSpec,
     bessel_i0,
     erfc,
@@ -63,6 +59,7 @@ from .numerics import (
     integrate_1d,
     integrate_2d,
     integrate_batch,
+    sin2_integrals,
 )
 from .sampler import RandomStream, sample_batch, sample_pinned_oracle_batch
 
@@ -121,18 +118,12 @@ def _univariate_mass(kind, tol: float) -> float:
 
 def _pair_ac_fixed(a, c) -> np.ndarray:
     """The (a, c) joint evaluated by the fixed sin^2 rule over b; broadcasts
-    a and c, and runs in row slices."""
+    a and c."""
     a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
     shape = a.shape
     a, c = a.ravel(), c.ravel()
-    lo = np.maximum(c, a - c)
-    width = a + c - lo
-    out = np.empty(a.size)
-    for start in range(0, a.size, SIN2_ROWS):
-        i = slice(start, start + SIN2_ROWS)
-        b = lo[i, None] + width[i, None] * SIN2_NODES
-        vals = pdf_pinned_sides_joint(a[i, None], b, c[i, None])
-        out[i] = (vals * (width[i, None] * SIN2_JAC * SIN2_WEIGHTS)).sum(axis=1)
+    out = sin2_integrals(lambda b, rows: pdf_pinned_sides_joint(a[rows, None], b, c[rows, None]),
+                         np.maximum(c, a - c), a + c)
     return out.reshape(shape)
 
 

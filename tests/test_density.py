@@ -73,14 +73,17 @@ def test_catalog_metadata_consistency():
 
 
 def test_shared_marginal_objects():
-    # anchored angles are exchangeable, and the ratio of the two random
-    # sides of a uniform-angle triangle has the same law as a single side,
-    # so these catalog entries share one evaluator.
+    # anchored angles are exchangeable, the ratio of the two random sides
+    # of a uniform-angle triangle has the same law as a single side, and the
+    # staked and pinned origin angles are both uniform on (0, pi), so these
+    # catalog entries share one evaluator.
     assert CATALOG["anchored_beta"].pdf is CATALOG["anchored_alpha"].pdf
     assert CATALOG["uT_ratio"].pdf is CATALOG["uT_side_a"].pdf
+    assert CATALOG["staked_alpha"].pdf is CATALOG["pinned_alpha"].pdf
     # ... and one distribution-function grid
     assert gof._grid(CATALOG["anchored_beta"]) is gof._grid(CATALOG["anchored_alpha"])
     assert gof._grid(CATALOG["uT_ratio"]) is gof._grid(CATALOG["uT_side_a"])
+    assert gof._grid(CATALOG["staked_alpha"]) is gof._grid(CATALOG["pinned_alpha"])
 
 
 def test_dispatcher_routes_and_rejects():
@@ -119,6 +122,16 @@ def test_zero_outside_support(tag):
     assert kind.pdf(math.inf) == 0.0
     assert kind.pdf(-math.inf) == 0.0
     np.testing.assert_array_equal(kind.pdf(np.array([-math.inf, math.inf])), 0.0)
+    # NaN in any coordinate gives NaN out, and leaves its neighbours alone
+    assert math.isnan(kind.pdf(math.nan))
+    inner = lo + 0.37 * (min(hi, lo + 2.0) - lo)
+    out = kind.pdf(np.array([math.nan, inner, math.nan]))
+    assert np.isnan(out).tolist() == [True, False, True]
+    assert out[1] == kind.pdf(inner)
+    assert math.isnan(density.pdf_pair_ab(1.0, math.nan))
+    np.testing.assert_array_equal(
+        np.isnan(density.pdf_pinned_sides_joint(np.array([1.0, math.nan]), 1.2, 0.8)),
+        [False, True])
 
 
 def test_joint_support_conditions():
@@ -410,6 +423,11 @@ def test_pair_ac_arrays_match_pointwise_calls():
     pointwise = [[density.pdf_pair_ac(float(x), float(y)) for y in c[0]] for x in a[:, 0]]
     assert np.array_equal(values, np.array(pointwise))
     assert np.all(values[:5] > 0.0) and np.all(values[5] == 0.0)
+    # many scattered points in one batch: each still comes out as it does alone
+    rng = np.random.default_rng(4)
+    a, c = 0.05 + 2.5 * rng.random(300), 0.05 + 1.5 * rng.random(300)
+    pointwise = [density.pdf_pair_ac(float(x), float(y)) for x, y in zip(a, c)]
+    assert np.array_equal(density.pdf_pair_ac(a, c), pointwise)
 
 
 def test_pair_ac_edges():

@@ -9,6 +9,7 @@ trusting the samplers under test elsewhere.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from nntriangles.gof import (
     run_ks_matrix,
 )
 from nntriangles.density import CATALOG
+from nntriangles.numerics import fixed_panel_integrals
 from nntriangles.sampler import RandomStream
 
 PI = math.pi
@@ -118,6 +120,30 @@ def test_cdf_is_a_distribution_function():
         assert vals[-1] <= 1.0 + 1e-9
         assert vals[-1] > 1.0 - 2e-5
     assert cdf_from_pdf("ratio_c_over_b", 0.5) == pytest.approx(0.25, abs=2e-6)
+
+
+@pytest.mark.parametrize("tag", ["uT_max", "anchored_alpha"])
+def test_grid_panels_do_not_depend_on_chunking(tag):
+    # uT_max has a singular point (sin^2 panels), anchored_alpha expands
+    # every point into a fixed rule of its own; chunks of 7 edges share an
+    # edge with their neighbours
+    kind = CATALOG[tag]
+    edges = gof._grid_edges(kind)
+    whole = fixed_panel_integrals(kind.pdf, edges, kind.singular_points)
+    chunked = np.concatenate([
+        fixed_panel_integrals(kind.pdf, edges[start:start + 7], kind.singular_points)
+        for start in range(0, len(edges) - 1, 6)])
+    assert whole.tobytes() == chunked.tobytes()
+
+
+def test_integral_form_grid_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        gof._CdfGrid(CATALOG["anchored_alpha"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_cdf_rejects_bad_arguments():

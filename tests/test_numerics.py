@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from nntriangles import density, moments
-from nntriangles.numerics import (CATALAN, SIN2_JAC, SIN2_NODES, SIN2_WEIGHTS,
-                                  IntegrandError, MonotoneCubic,
+from nntriangles.numerics import (CATALAN, IntegrandError, MonotoneCubic,
                                   QuadratureSpec, _segment_sums, bessel_i0, erfc,
                                   fixed_panel_integrals, gaussian_tail_cutoff,
-                                  integrate_1d, integrate_2d, integrate_batch)
+                                  integrate_1d, integrate_2d, integrate_batch,
+                                  sin2_integrals)
 
 PI = math.pi
 
@@ -140,9 +140,11 @@ def _wave(x, k):
 
 
 def _assert_matches_separate(batch, lo, hi, spec, f=_wave):
+    # bit for bit: a batch reduces each panel and each integral on its own
     for k in range(len(lo)):
         alone = integrate_1d(lambda x: f(x, np.full(x.shape, k)), lo[k], hi[k], spec)
-        assert batch[k].value == pytest.approx(alone.value, rel=1e-15, abs=0.0)
+        assert batch[k].value == alone.value
+        assert batch[k].error == alone.error
         assert batch[k].converged == alone.converged
         assert batch[k].subdivisions == alone.subdivisions
         assert batch[k].neval == alone.neval
@@ -157,6 +159,25 @@ def test_batch_matches_separate_runs(kwargs):
     assert r.converged.all()
     assert len(set(r.subdivisions.tolist())) > 1
     _assert_matches_separate(r, lo, hi, spec)
+
+
+@pytest.mark.parametrize("singularity", ["none", "both"])
+def test_batch_with_ragged_random_rates_matches_separate_runs(singularity):
+    # many integrals of uneven difficulty, so sweeps carry ragged panel sets
+    rng = np.random.default_rng(11)
+    count = 40
+    rates = np.exp(4.0 * rng.random(count) - 1.0)
+    freqs = 30.0 * rng.random(count)
+    lo = rng.random(count) - 0.5
+    hi = lo + 0.1 + 6.0 * rng.random(count)
+
+    def f(x, k):
+        return np.exp(-rates[k] * x) * (1.5 + np.sin(freqs[k] * x))
+
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singularity=singularity)
+    r = integrate_batch(f, lo, hi, spec)
+    assert len(set(r.subdivisions.tolist())) > 5
+    _assert_matches_separate(r, lo, hi, spec, f)
 
 
 def test_batch_infinite_limits_match_separate_runs():
@@ -228,11 +249,12 @@ def test_inner_a_integral_matches_catalog_density_rule(weight):
     a_lo = b - c + 0.3 * c * rng.random(n)
     a_hi = b + c - 0.3 * c * rng.random(n)
     fast = moments._inner_a_integral(weight, b, c, a_lo, a_hi)
-    width = (a_hi - a_lo)[:, None]
-    a = a_lo[:, None] + width * SIN2_NODES[None, :]
-    vals = weight(a, b[:, None], c[:, None]) * density.pdf_pinned_sides_joint(
-        a, b[:, None], c[:, None])
-    reference = (vals * (width * SIN2_JAC[None, :] * SIN2_WEIGHTS[None, :])).sum(axis=1)
+
+    def g(a, rows):
+        B, C = b[rows, None], c[rows, None]
+        return weight(a, B, C) * density.pdf_pinned_sides_joint(a, B, C)
+
+    reference = sin2_integrals(g, a_lo, a_hi)
     assert np.all(reference > 0.0)
     np.testing.assert_allclose(fast, reference, rtol=1e-14, atol=0.0)
 

@@ -204,7 +204,7 @@ def test_write_csv_to_path(tmp_path):
     assert text.count("\n") == 6
 
 
-def test_redraws_are_bounded():
+def test_redraws_are_bounded(monkeypatch):
     calls = []
 
     def collinear(count, gen):
@@ -218,6 +218,24 @@ def test_redraws_are_bounded():
     with pytest.raises(RuntimeError, match="staked"):
         sampler._fill_batch("staked", 5, RandomStream(3), collinear)
     assert calls == [5] * sampler.MAX_DRAW_ROUNDS
+
+    # the process oracle redraws in the same loop: with every row counted
+    # degenerate it gives up after the same number of rounds
+    calls.clear()
+    attempt = sampler._attempt_oracle
+
+    def counted(count, gen):
+        calls.append(count)
+        assert len(calls) <= 100, "redraw loop has no bound"
+        return attempt(count, gen)
+
+    monkeypatch.setattr(sampler, "_attempt_oracle", counted)
+    monkeypatch.setattr(sampler, "DEGENERACY_TOL", math.inf)
+    rng = RandomStream(3)
+    with pytest.raises(RuntimeError, match="pinned"):
+        sample_pinned_oracle_batch(5, rng)
+    assert calls == [5] * sampler.MAX_DRAW_ROUNDS
+    assert rng.resamples == 5 * sampler.MAX_DRAW_ROUNDS
 
 
 # ---------------------------------------------------------------------------
