@@ -30,7 +30,7 @@ from .moments import (EXPECTED_AC, MomentReport, MomentTarget, acuteness,
 from .numerics import IntegralResult, QuadratureSpec, integrate_1d, integrate_2d
 from .sampler import (FAMILIES, RandomStream, SampleBatch, sample_batch,
                       sample_pinned_oracle_batch)
-from .verify import CheckResult, as_rows, run_suite, suite_passed
+from .verify import CheckResult, run_suite, suite_passed
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,6 @@ __all__ = [
     "IntegralResult", "QuadratureSpec", "integrate_1d", "integrate_2d",
     "FAMILIES", "RandomStream", "SampleBatch", "sample_batch",
     "sample_pinned_oracle_batch",
-    "CheckResult", "as_rows", "run_suite", "suite_passed",
+    "CheckResult", "run_suite", "suite_passed",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from . import verify as verification
 from ._svg import freedman_diaconis_bins, render_density_plot
 from .density import CATALOG
 from .gof import quantile
-from .sampler import CSV_HEADER, FAMILIES, RandomStream, sample_batch
+from .sampler import CSV_HEADER, FAMILIES, RandomStream, sample_batch, write_rows
 
 __all__ = ["RunConfig", "PlotSpec", "main"]
 
@@ -166,17 +166,17 @@ def _cell(value: float | None) -> float | str:
     return float(value)
 
 
-def _format_cell(value: float | str) -> str:
-    return value if isinstance(value, str) else repr(value)
+def _records(columns: list[str], rows) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def _write_table(rows: list[dict], columns: list[str], cfg: RunConfig) -> None:
+def _write_table(columns: list[str], rows, cfg: RunConfig) -> None:
+    """Rows of cells in column order as CSV (cells print by ``str``) or JSON records."""
     if cfg.fmt == "json":
-        _emit(json.dumps(rows, indent=1) + "\n", cfg.out)
+        _emit(json.dumps(_records(columns, rows), indent=1) + "\n", cfg.out)
         return
-    lines = [",".join(columns)]
-    lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
-    _emit("\n".join(lines) + "\n", cfg.out)
+    write_rows(sys.stdout if cfg.out is None else cfg.out, ",".join(columns),
+               ",".join(["%s"] * len(columns)), np.asarray(rows, dtype=object))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -196,15 +196,11 @@ def cmd_sample(cfg: RunConfig, family: str) -> int:
         raise UsageError(f"unknown family {family!r}; choose from {FAMILIES}")
     batch = sample_batch(family, cfg.n, RandomStream(cfg.seed, 0))
     if cfg.fmt == "csv":
-        if cfg.out is None:
-            batch.write_csv(sys.stdout)
-        else:
-            batch.write_csv(cfg.out)
+        batch.write_csv(sys.stdout if cfg.out is None else cfg.out)
         return 0
-    columns = CSV_HEADER.split(",")
-    table = np.hstack([batch.vertices, batch.sides, batch.angles])
-    rows = [[family, *map(float, row)] for row in table]
-    _emit(json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n", cfg.out)
+    rows = [[family, *row] for row in batch.table().tolist()]
+    _emit(json.dumps({"columns": CSV_HEADER.split(","), "rows": rows}, indent=1) + "\n",
+          cfg.out)
     return 0
 
 
@@ -227,66 +223,53 @@ def cmd_pdf(cfg: RunConfig, kind_tag: str, grid: str | None, points: str | None)
     columns = (["x"] if kind.arity == 1 else
                [f"x{i + 1}" for i in range(kind.arity)]) + ["pdf"]
     values = kind.pdf(*coords.T)
-    rows = [dict(zip(columns, [*point, _cell(value)]))
-            for point, value in zip(coords.tolist(), values.tolist())]
-    _write_table(rows, columns, cfg)
+    table = np.column_stack([coords, values]).astype(object)
+    table[np.isinf(values), -1] = "inf"
+    _write_table(columns, table, cfg)
     return 0
 
 
-_MOMENT_COLUMNS = ["family", "quantity",
-                   "mean_closed", "mean_reference", "mean_quadrature",
-                   "mean_mc", "mean_mc_std_error", "mean_verdict",
-                   "mean_square_closed", "mean_square_reference",
-                   "mean_square_quadrature", "mean_square_mc",
-                   "mean_square_mc_std_error", "mean_square_verdict"]
+_MOMENT_COLUMNS = ["family", "quantity"] + [
+    f"{prefix}_{cell}" for prefix in ("mean", "mean_square")
+    for cell in ("closed", "reference", "quadrature", "mc", "mc_std_error", "verdict")]
+# The fields of verify.CheckResult, in order.
+_CHECK_COLUMNS = ["check", "family", "expected", "actual", "tolerance", "pass"]
 
 
-def _moment_row(cfg: RunConfig, family: str, index: int, quantity: str) -> dict:
-    row: dict = {"family": family, "quantity": quantity}
-    for offset, (statistic, prefix) in enumerate(
-            (("mean", "mean"), ("mean-square", "mean_square"))):
+def _moment_row(cfg: RunConfig, family: str, index: int, quantity: str) -> list:
+    """One table row: the mean's six cells, then the mean square's."""
+    row: list = [family, quantity]
+    for offset, statistic in enumerate(("mean", "mean-square")):
         target = moments.MomentTarget(family, quantity, statistic)
         rng = RandomStream(cfg.seed, 10_000 + 200 * index + 100 * offset)
         report = moments.moment_report(target, tol=cfg.tol, n=cfg.n, rng=rng,
                                        workers=cfg.workers)
         divergent = report.closed == math.inf
-        row[f"{prefix}_closed"] = _cell(report.closed)
-        row[f"{prefix}_reference"] = _cell(report.reference)
-        row[f"{prefix}_quadrature"] = ("inf" if divergent else
-                                       _cell(report.quadrature.value
-                                             if report.quadrature else None))
+        row += [_cell(report.closed), _cell(report.reference),
+                "inf" if divergent else
+                _cell(report.quadrature.value if report.quadrature else None)]
         if report.monte_carlo is None or divergent:
-            row[f"{prefix}_mc"] = "inf" if divergent else "-"
-            row[f"{prefix}_mc_std_error"] = "-"
+            row += ["inf" if divergent else "-", "-"]
         else:
-            row[f"{prefix}_mc"] = float(report.monte_carlo.value)
-            row[f"{prefix}_mc_std_error"] = float(report.monte_carlo.std_error)
-        row[f"{prefix}_verdict"] = "pass" if report.verdict else "fail"
+            row += [float(report.monte_carlo.value), float(report.monte_carlo.std_error)]
+        row.append("pass" if report.verdict else "fail")
     return row
 
 
-def _moment_rows(cfg: RunConfig, family: str) -> list[dict]:
-    if family not in moments.FAMILIES:
-        raise UsageError(
-            f"unknown family {family!r}; choose from {moments.FAMILIES}")
-    quantities = (moments.PINNED_QUANTITIES if family == "pinned"
-                  else moments.ANGLE_ONLY_QUANTITIES)
-    try:
-        return [_moment_row(cfg, family, i, q) for i, q in enumerate(quantities)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def cmd_moments(cfg: RunConfig, family: str) -> int:
-    _write_table(_moment_rows(cfg, family), _MOMENT_COLUMNS, cfg)
-    return 0
-
-
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_moments(cfg: RunConfig, families: tuple[str, ...]) -> int:
+    """The moment tables of ``families``, one after another."""
     rows = []
-    for family in moments.FAMILIES:
-        rows.extend(_moment_rows(cfg, family))
-    _write_table(rows, _MOMENT_COLUMNS, cfg)
+    for family in families:
+        if family not in moments.FAMILIES:
+            raise UsageError(
+                f"unknown family {family!r}; choose from {moments.FAMILIES}")
+        quantities = (moments.PINNED_QUANTITIES if family == "pinned"
+                      else moments.ANGLE_ONLY_QUANTITIES)
+        try:
+            rows += [_moment_row(cfg, family, i, q) for i, q in enumerate(quantities)]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    _write_table(_MOMENT_COLUMNS, rows, cfg)
     return 0
 
 
@@ -299,18 +282,19 @@ def cmd_verify(cfg: RunConfig, mc_samples: int, big_mc_samples: int,
             alpha=cfg.alpha, inject_failure=inject)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rows = verification.as_rows(results)
-    report = {"seed": cfg.seed, "workers": cfg.workers, "alpha": cfg.alpha,
-              "mc_samples": mc_samples, "big_mc_samples": big_mc_samples,
-              "ks_samples": ks_samples,
-              "all_pass": verification.suite_passed(results), "checks": rows}
+    rows = [astuple(r) for r in results]
+    all_pass = verification.suite_passed(results)
     if cfg.fmt == "csv":
-        _write_table(rows, ["check", "family", "expected", "actual", "tolerance", "pass"], cfg)
+        _write_table(_CHECK_COLUMNS, rows, cfg)
     else:
+        report = {"seed": cfg.seed, "workers": cfg.workers, "alpha": cfg.alpha,
+                  "mc_samples": mc_samples, "big_mc_samples": big_mc_samples,
+                  "ks_samples": ks_samples, "all_pass": all_pass,
+                  "checks": _records(_CHECK_COLUMNS, rows)}
         _emit(json.dumps(report, indent=1) + "\n", cfg.out)
-    if report["all_pass"]:
+    if all_pass:
         return 0
-    failing = [row["check"] for row in rows if not row["pass"]]
+    failing = [r.check for r in results if not r.passed]
     print("verification failed: " + ", ".join(failing), file=sys.stderr)
     return 1
 
@@ -425,9 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pdf":
             return cmd_pdf(_config(args), args.kind, args.grid, args.points)
         if args.command == "moments":
-            return cmd_moments(_config(args), args.family)
+            return cmd_moments(_config(args), (args.family,))
         if args.command == "tables":
-            return cmd_tables(_config(args))
+            return cmd_moments(_config(args), moments.FAMILIES)
         if args.command == "verify":
             return cmd_verify(_config(args, default_fmt="json"),
                               args.mc_samples, args.big_mc_samples,

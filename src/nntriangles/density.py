@@ -73,6 +73,20 @@ def _finish(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+# From b = 16 on, exp(-pi b^2) underflows to exactly 0, and so does every
+# density carrying that factor; evaluating only below it keeps huge sides
+# from overflowing the polynomial factors into inf * 0 = NaN.
+_GAUSS_ZERO_FROM = 16.0
+
+
+def _over_cube(t: np.ndarray, coeff: float, ratio: Callable) -> np.ndarray:
+    """``num / den`` for ``num, den = ratio(t)``, a density with tail coeff / t^3;
+    where den overflows, that tail term (exact there) instead of inf / inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = ratio(t)
+        return np.where(np.isinf(den), coeff / t / t / t, num / den)
+
+
 # ---------------------------------------------------------------------------
 # pinned family: sides
 # ---------------------------------------------------------------------------
@@ -82,16 +96,18 @@ def pdf_pinned_sides_joint(x, y, z):
 
     8*pi*x*y*z * exp(-pi y^2) / sqrt(D) on {y-z < x < y+z, y > z > 0},
     where D is the Heron product; infinite on the collinear boundary
-    x = y +- z, zero elsewhere.
+    x = y +- z while y < 16 (exp(-pi y^2) is 0 from there), zero elsewhere.
     """
     (X, Y, Z), out, scalar = _broadcast(x, y, z)
-    closure = (Z > 0.0) & (Y > Z)
-    inside = closure & (X > Y - Z) & (X < Y + Z)
+    closure = (Z > 0.0) & (Y > Z) & (Y < _GAUSS_ZERO_FROM)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite sides
+        lo, hi = Y - Z, Y + Z
+    inside = closure & (X > lo) & (X < hi)
     if inside.any():
         a, b, c = X[inside], Y[inside], Z[inside]
         out[inside] = (8.0 * _PI * a * b * c * np.exp(-_PI * b * b)
                        / np.sqrt(heron_product(a, b, c)))
-    edge = closure & ((X == Y - Z) | (X == Y + Z))
+    edge = closure & ((X == lo) | (X == hi))
     out[edge] = math.inf
     return _finish(out, scalar)
 
@@ -99,7 +115,7 @@ def pdf_pinned_sides_joint(x, y, z):
 def pdf_pinned_a(x):
     """Density of the side joining the two Poisson points: pi*x*erfc(sqrt(pi)x/2)."""
     (X,), out, scalar = _broadcast(x)
-    m = (X > 0.0) & np.isfinite(X)
+    m = (X > 0.0) & (X < 2.0 * _GAUSS_ZERO_FROM)  # erfc tail ~ exp(-pi (x/2)^2)
     out[m] = _PI * X[m] * erfc(0.5 * math.sqrt(_PI) * X[m])
     return _finish(out, scalar)
 
@@ -107,7 +123,7 @@ def pdf_pinned_a(x):
 def pdf_pinned_b(x):
     """Density of the second-nearest distance: 2*pi^2*x^3*exp(-pi x^2)."""
     (X,), out, scalar = _broadcast(x)
-    m = (X > 0.0) & np.isfinite(X)
+    m = (X > 0.0) & (X < _GAUSS_ZERO_FROM)
     out[m] = 2.0 * _PI * _PI * X[m] ** 3 * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
 
@@ -115,7 +131,7 @@ def pdf_pinned_b(x):
 def pdf_pinned_c(x):
     """Density of the nearest distance: 2*pi*x*exp(-pi x^2)."""
     (X,), out, scalar = _broadcast(x)
-    m = (X > 0.0) & np.isfinite(X)
+    m = (X > 0.0) & (X < _GAUSS_ZERO_FROM)
     out[m] = 2.0 * _PI * X[m] * np.exp(-_PI * X[m] ** 2)
     return _finish(out, scalar)
 
@@ -210,8 +226,8 @@ def pdf_ratio_b_over_a(x):
     (X,), out, scalar = _broadcast(x)
     m = X > 0.5
     if m.any():
-        t = X[m]
-        out[m] = (1.0 - (2.0 / _PI) * np.arcsin(0.5 / t)) / t ** 3
+        out[m] = _over_cube(X[m], 1.0, lambda t: (1.0 - (2.0 / _PI) * np.arcsin(0.5 / t),
+                                                  t ** 3))
     return _finish(out, scalar)
 
 
@@ -219,7 +235,7 @@ def pdf_ratio_b_over_c(x):
     """2/x^3 on (1, inf)."""
     (X,), out, scalar = _broadcast(x)
     m = X > 1.0
-    out[m] = 2.0 / X[m] ** 3
+    out[m] = _over_cube(X[m], 2.0, lambda t: (2.0, t ** 3))
     return _finish(out, scalar)
 
 
@@ -256,14 +272,16 @@ def pdf_ratio_c_over_a(x):
     if m1.any():
         t = X[m1]
         out[m1] = 2.0 * t * (1.0 + t * t) / (1.0 - t * t) ** 3
-    m2 = (X >= 0.5) & (np.abs(X - 1.0) >= _RATIO_WINDOW) & np.isfinite(X)
+    m2 = (X >= 0.5) & (np.abs(X - 1.0) >= _RATIO_WINDOW)
     if m2.any():
-        t = X[m2]
-        t2 = t * t
-        num = -(2.0 * (t2 - 1.0) * np.sqrt(4.0 * t2 - 1.0)
-                - _PI * t2 * (1.0 + t2)
-                + 6.0 * t2 * (1.0 + t2) * np.arcsin(0.5 / t))
-        out[m2] = num / (_PI * t * (t2 - 1.0) ** 3)
+        def ratio(t):
+            t2 = t * t
+            num = -(2.0 * (t2 - 1.0) * np.sqrt(4.0 * t2 - 1.0)
+                    - _PI * t2 * (1.0 + t2)
+                    + 6.0 * t2 * (1.0 + t2) * np.arcsin(0.5 / t))
+            return num, _PI * t * (t2 - 1.0) ** 3
+
+        out[m2] = _over_cube(X[m2], 1.0, ratio)
     m3 = np.abs(X - 1.0) < _RATIO_WINDOW
     if m3.any():
         out[m3] = np.polyval(_CA_NEAR_1[::-1], X[m3] - 1.0)
@@ -281,10 +299,10 @@ def pdf_ratio_a_over_c(x):
                     - _PI * (1.0 + t2)
                     + 6.0 * (1.0 + t2) * np.arcsin(0.5 * t))
         out[m1] = num / (_PI * (1.0 - t2) ** 3)
-    m2 = (X >= 2.0) & np.isfinite(X)
+    m2 = X >= 2.0
     if m2.any():
-        t = X[m2]
-        out[m2] = 2.0 * t * (1.0 + t * t) / (t * t - 1.0) ** 3
+        out[m2] = _over_cube(X[m2], 2.0, lambda t: (2.0 * t * (1.0 + t * t),
+                                                    (t * t - 1.0) ** 3))
     m3 = np.abs(X - 1.0) < _RATIO_WINDOW
     if m3.any():
         out[m3] = np.polyval(_AC_NEAR_1[::-1], X[m3] - 1.0)
@@ -298,7 +316,8 @@ def pdf_ratio_a_over_c(x):
 def pdf_pair_ab(x, y):
     """Joint density of (a, b): 4*pi*a*b*exp(-pi b^2) arccos(a/(2b)) on 0 < a < 2b."""
     (X, Y), out, scalar = _broadcast(x, y)
-    m = (X > 0.0) & (Y > 0.0) & (X < 2.0 * Y)
+    m = (Y > 0.0) & (Y < _GAUSS_ZERO_FROM)
+    m[m] = (X[m] > 0.0) & (X[m] < 2.0 * Y[m])
     if m.any():
         a, b = X[m], Y[m]
         out[m] = 4.0 * _PI * a * b * np.exp(-_PI * b * b) * np.arccos(np.clip(0.5 * a / b, -1.0, 1.0))
@@ -308,16 +327,11 @@ def pdf_pair_ab(x, y):
 def pdf_pair_bc(x, y):
     """Joint density of (b, c): 4*pi^2*b*c*exp(-pi b^2) on 0 < c < b."""
     (X, Y), out, scalar = _broadcast(x, y)
-    m = (Y > 0.0) & (X > Y)
+    m = (Y > 0.0) & (X > Y) & (X < _GAUSS_ZERO_FROM)
     if m.any():
         b, c = X[m], Y[m]
         out[m] = 4.0 * _PI * _PI * b * c * np.exp(-_PI * b * b)
     return _finish(out, scalar)
-
-
-# Beyond b = 16, exp(-pi b^2) underflows to exactly 0, so the (a, c)
-# density is exactly 0 wherever its b-range starts there.
-_PAIR_AC_ZERO_FROM = 16.0
 
 
 def pdf_pair_ac(a, c, tol: float = 1e-10):
@@ -331,7 +345,7 @@ def pdf_pair_ac(a, c, tol: float = 1e-10):
     """
     (A, C), out, scalar = _broadcast(a, c)
     m = (A > 0.0) & (C > 0.0) & np.isfinite(A) & np.isfinite(C)
-    m[m] = np.maximum(C[m], A[m] - C[m]) < _PAIR_AC_ZERO_FROM
+    m[m] = np.maximum(C[m], A[m] - C[m]) < _GAUSS_ZERO_FROM  # the b-range's start
     if m.any():
         a, c = A[m], C[m]
         lo = np.maximum(c, a - c)
@@ -374,7 +388,7 @@ def pdf_staked_angles_joint(alpha, beta):
     alpha marginal is exactly uniform on (0, pi).
     """
     (A, B), out, scalar = _broadcast(alpha, beta)
-    m = (A > 0.0) & (B > 0.0) & (A + B < _PI)
+    m = (A > 0.0) & (B > 0.0) & (np.minimum(A, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
         s = np.sin(a + b)
@@ -390,7 +404,7 @@ def pdf_anchored_angles_joint(alpha, beta):
             / sin(alpha+beta)^2) * sin(alpha) sin(beta) / sin(alpha+beta)^3.
     """
     (A, B), out, scalar = _broadcast(alpha, beta)
-    m = (A > 0.0) & (B > 0.0) & (A + B < _PI)
+    m = (A > 0.0) & (B > 0.0) & (np.minimum(A, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
         s2 = np.sin(a + b) ** 2
@@ -493,7 +507,8 @@ def pdf_uT_max(x):
     m1 = (X > 0.5) & (X < 1.0)
     out[m1] = (8.0 / (_PI * _PI)) * np.arctanh(2.0 * X[m1] - 1.0) / X[m1]
     m2 = X > 1.0
-    out[m2] = (8.0 / (_PI * _PI)) * np.arctanh(1.0 / (2.0 * X[m2] - 1.0)) / X[m2]
+    with np.errstate(over="ignore"):  # 2x - 1 -> inf only where the density is 0
+        out[m2] = (8.0 / (_PI * _PI)) * np.arctanh(1.0 / (2.0 * X[m2] - 1.0)) / X[m2]
     out[X == 1.0] = math.inf
     return _finish(out, scalar)
 

@@ -84,6 +84,25 @@ class RandomStream:
 
 CSV_HEADER = "family,ax,ay,bx,by,cx,cy,a,b,c,alpha,beta,gamma"
 
+# Rows per write: amortizes the format call, keeps a block's text near a megabyte.
+_ROW_BLOCK = 4096
+
+
+def write_rows(destination, header: str, row_format: str, rows: np.ndarray) -> None:
+    """Write ``header``, then one ``row_format % tuple(row)`` line per row of
+    the 2-D array ``rows`` (cells become Python objects first, so ``%s``
+    prints a float as its ``repr``), to a path or an open text stream."""
+    if not hasattr(destination, "write"):
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            write_rows(handle, header, row_format, rows)
+        return
+    line = row_format + "\n"
+    destination.write(header + "\n")
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        destination.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 # Derived scalar statistics available from a batch, beyond raw columns.
 _RATIO_STATS = {
     "a_over_b": (0, 1), "b_over_a": (1, 0), "b_over_c": (1, 2),
@@ -133,20 +152,13 @@ class SampleBatch:
             return np.sqrt(heron_product(a, b, c)) / 4.0
         raise KeyError(f"unknown statistic {name!r}")
 
+    def table(self) -> np.ndarray:
+        """The 12 numeric CSV columns (vertices, sides, angles) side by side."""
+        return np.hstack([self.vertices, self.sides, self.angles])
+
     def write_csv(self, destination) -> None:
         """Write all rows in the CSV schema, 17 significant digits."""
-        if hasattr(destination, "write"):
-            _write_csv_rows(self, destination)
-        else:
-            with open(destination, "w", encoding="utf-8", newline="") as handle:
-                _write_csv_rows(self, handle)
-
-
-def _write_csv_rows(batch: SampleBatch, handle) -> None:
-    handle.write(CSV_HEADER + "\n")
-    columns = np.hstack([batch.vertices, batch.sides, batch.angles])
-    for row in columns:
-        handle.write(batch.family + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        write_rows(destination, CSV_HEADER, self.family + ",%.17g" * 12, self.table())
 
 
 def _sides_from_vertices(vertices: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ routes to E(ac), the acuteness probabilities, divergence flags, marginal
 consistency of the joint densities, the sampler-vs-density KS matrix with
 negative controls, the literal point-process oracle comparison, chi-square
 region tests, and a determinism self-check.  Each check is one
-:class:`CheckResult`; :func:`as_rows` renders the machine-readable report.
+:class:`CheckResult`.
 
 The suite is pure given (seed, workers, sizes): reports from two identical
 invocations compare equal.
@@ -19,7 +19,7 @@ import io
 import math
 # ThreadPoolExecutor stays bound here for the benchmark's tracer (perfbench/tracing.py).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .numerics import (
 )
 from .sampler import RandomStream, sample_batch, sample_pinned_oracle_batch
 
-__all__ = ["CheckResult", "as_rows", "run_suite", "suite_passed"]
+__all__ = ["CheckResult", "run_suite", "suite_passed"]
 
 _PI = math.pi
 
@@ -92,11 +92,11 @@ def _flag(check: str, family: str, ok: bool) -> CheckResult:
     return CheckResult(check, family, 1.0, float(bool(ok)), 0.0, bool(ok))
 
 
-def as_rows(results: list[CheckResult]) -> list[dict]:
-    """Report rows: {check, family, expected, actual, tolerance, pass}."""
-    return [{"check": r.check, "family": r.family, "expected": r.expected,
-             "actual": r.actual, "tolerance": r.tolerance, "pass": r.passed}
-            for r in results]
+def _gof(check: str, family: str, report, reject: bool = False) -> CheckResult:
+    """A goodness-of-fit test as a check: it passes when the test accepts,
+    or, for a negative control (``reject``), when it rejects."""
+    return CheckResult(check, family, "reject" if reject else 0.0, report.statistic,
+                       report.threshold, report.verdict != reject)
 
 
 def suite_passed(results: list[CheckResult]) -> bool:
@@ -311,14 +311,15 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
             target.family, closed, q.value, 1e-6))
 
     # --- Table 2/3 reference decimals ---------------------------------------
+    ref_values: dict[moments.MomentTarget, float] = {}
     for target in moments.targets():
         ref = moments.reference_value(target)
         if ref is None or moments.closed_form(target) is not None:
             continue
-        q = moments.by_quadrature(target, tol=1e-8)
+        ref_values[target] = moments.by_quadrature(target, tol=1e-8).value
         rows.append(_near(
             f"reference:{target.family}:{target.quantity}:{target.statistic}",
-            target.family, ref, q.value, 1e-6))
+            target.family, ref, ref_values[target], 1e-6))
 
     # --- two routes to E(ac) -------------------------------------------------
     eac = moments.expected_ac(tol=1e-7)
@@ -345,15 +346,12 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
 
     # --- acuteness: exact decompositions and closed forms --------------------
     spec8 = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    p_alpha = integrate_1d(pdf_pinned_alpha, 0.5 * _PI, _PI, spec8).value
-    rows.append(_near("acuteness:pinned-alpha-obtuse-half", "pinned", 0.5,
-                      p_alpha, 1e-8))
-    p_beta = integrate_1d(pdf_pinned_beta, 0.5 * _PI, _PI, spec8).value
-    rows.append(_near("acuteness:pinned-beta-obtuse-quarter", "pinned", 0.25,
-                      p_beta, 1e-8))
-    p_gamma = integrate_1d(pdf_pinned_gamma, 0.5 * _PI, _PI, spec8).value
-    rows.append(_near("acuteness:pinned-gamma-never-obtuse", "pinned", 0.0,
-                      p_gamma, 1e-12))
+    for name, angle_pdf, part, tol in zip(
+            ("alpha-obtuse-half", "beta-obtuse-quarter", "gamma-never-obtuse"),
+            (pdf_pinned_alpha, pdf_pinned_beta, pdf_pinned_gamma),
+            moments.PINNED_OBTUSE_PARTS, (1e-8, 1e-8, 1e-12)):
+        p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8).value
+        rows.append(_near(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
     staked_closed = moments.acuteness("staked", "closed")
     anchored_closed = moments.acuteness("anchored", "closed")
     rows.append(_near("acuteness:staked-closed-vs-quadrature", "staked",
@@ -406,9 +404,8 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
                                    ("anchored", "alphabeta", 1800)):
         target = moments.MomentTarget(family, quantity, "mean")
         mc = moments.by_monte_carlo(target, small, RandomStream(seed, base), workers)
-        expected = moments.by_quadrature(target, tol=1e-8).value
         rows.append(_near(f"monte-carlo:{family}:{quantity}:mean", family,
-                          expected, mc.value, 3.0 * mc.std_error))
+                          ref_values[target], mc.value, 3.0 * mc.std_error))
         if quantity != "alphabeta":
             mc = moments.batch_means(family, small, RandomStream(seed, base + 100),
                                      {"acute": lambda b: float((b.angles.max(axis=1) < 0.5 * _PI).mean())},
@@ -439,20 +436,17 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
     tags = [tag for tag, _, _ in KS_MATRIX] + ["uT_max", "uT_min"]
     batches, reports = ks_battery(ks_samples, seed, tags, alpha)
     for tag, report in zip(tags, reports):
-        rows.append(CheckResult(f"ks:{tag}", CATALOG[tag].family, 0.0, report.statistic,
-                                report.threshold, report.verdict))
+        rows.append(_gof(f"ks:{tag}", CATALOG[tag].family, report))
     neg1 = ks_one_sample(EmpiricalSample.from_values(batches["pinned"].statistic("b"),
                                                      "pinned:b"),
                          "pinned_c", alpha)
-    rows.append(CheckResult("ks-negative-control:pinned-b-vs-c-density", "pinned",
-                            "reject", neg1.statistic, neg1.threshold,
-                            not neg1.verdict))
+    rows.append(_gof("ks-negative-control:pinned-b-vs-c-density", "pinned", neg1,
+                     reject=True))
     neg2 = ks_one_sample(EmpiricalSample.from_values(batches["staked"].statistic("beta"),
                                                      "staked:beta"),
                          "anchored_alpha", alpha)
-    rows.append(CheckResult("ks-negative-control:staked-beta-vs-anchored-density",
-                            "staked", "reject", neg2.statistic, neg2.threshold,
-                            not neg2.verdict))
+    rows.append(_gof("ks-negative-control:staked-beta-vs-anchored-density", "staked",
+                     neg2, reject=True))
 
     # --- the literal point-process oracle ---------------------------------------
     oracle = sample_pinned_oracle_batch(ks_samples, RandomStream(seed, 2100))
@@ -461,9 +455,8 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
                                              f"pinned:{statistic}")
         literal = EmpiricalSample.from_values(oracle.statistic(statistic),
                                               f"oracle:{statistic}")
-        report = ks_two_sample(direct, literal, alpha)
-        rows.append(CheckResult(f"oracle-ks:{statistic}", "pinned", 0.0,
-                                report.statistic, report.threshold, report.verdict))
+        rows.append(_gof(f"oracle-ks:{statistic}", "pinned",
+                         ks_two_sample(direct, literal, alpha)))
 
     # --- chi-square region tests --------------------------------------------------
     ut_angles = batches["uniformT"].angles[:, :2]
@@ -473,21 +466,18 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
     # exact and the discontinuous edge sits wholly in the pooled outside cell
     r = chi_square_region(ut_angles, uniform_pdf, bins=10, alpha=alpha,
                           bounds=((0.1, 1.5), (0.1, 1.5)))
-    rows.append(CheckResult("chi-square:uT-angles-uniform", "uniformT", 0.0,
-                            r.statistic, r.threshold, r.verdict))
+    rows.append(_gof("chi-square:uT-angles-uniform", "uniformT", r))
     # the angle joints blow up like 1/r at the origin, so keep the grid in
     # the smooth interior; the pooled outside cell balances the rest exactly
     staked_angles = batches["staked"].angles[:, :2]
     staked_bounds = ((0.15, 1.5), (0.15, 1.5))
     r = chi_square_region(staked_angles, pdf_staked_angles_joint, bins=10,
                           alpha=alpha, bounds=staked_bounds)
-    rows.append(CheckResult("chi-square:staked-angles-joint", "staked", 0.0,
-                            r.statistic, r.threshold, r.verdict))
+    rows.append(_gof("chi-square:staked-angles-joint", "staked", r))
     r = chi_square_region(staked_angles, pdf_anchored_angles_joint, bins=10,
                           alpha=alpha, bounds=staked_bounds)
-    rows.append(CheckResult("chi-square-negative-control:staked-vs-anchored",
-                            "staked", "reject", r.statistic, r.threshold,
-                            not r.verdict))
+    rows.append(_gof("chi-square-negative-control:staked-vs-anchored", "staked", r,
+                     reject=True))
 
     # --- determinism ---------------------------------------------------------------
     dumps = []
@@ -508,8 +498,7 @@ def _inject(rows: list[CheckResult], check_name: str) -> list[CheckResult]:
     must report it as failed."""
     for i, row in enumerate(rows):
         if row.check == check_name:
-            bad = row.actual + 10.0 * (row.tolerance + 1.0)
-            rows[i] = CheckResult(row.check, row.family, row.expected, bad,
-                                  row.tolerance, False)
+            rows[i] = replace(row, actual=row.actual + 10.0 * (row.tolerance + 1.0),
+                              passed=False)
             return rows
     raise ValueError(f"no such check to corrupt: {check_name!r}")

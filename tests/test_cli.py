@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -171,6 +172,26 @@ def test_pdf_points_univariate_and_multivariate():
     assert float(first[3]) == pytest.approx(
         density.pdf_pinned_sides_joint(1.0, 1.2, 0.8), rel=1e-12)
     assert float(lines[2].split(",")[3]) == 0.0  # violates triangle inequality
+
+    # every cell prints as its repr: 0.1 (not %.17g's 0.10000000000000001), inf
+    code, out, _ = run_cli(["pdf", "--kind", "uT_side_a", "--points", "0.1,1,inf"])
+    assert code == 0
+    assert out == f"x,pdf\n0.1,{density.pdf_uT_side_a(0.1)!r}\n1.0,inf\ninf,0.0\n"
+
+
+def test_pdf_grid_csv_streams_rows(tmp_path):
+    # rows are formatted a block at a time, never all held as Python objects
+    target = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["pdf", "--kind", "pinned_c", "--grid", "0:1:200000",
+                         "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.read_text().count("\n") == 200_001
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("argv", [
@@ -391,7 +412,7 @@ def test_plot_default_output_name(tmp_path, monkeypatch):
 # the benchmark's tracer
 # ---------------------------------------------------------------------------
 
-def test_benchmark_tracer_installs(monkeypatch):
+def test_benchmark_tracer_installs(monkeypatch, tmp_path):
     # perfbench/tracing.py rebinds names in the package's modules and
     # refuses to install when one has moved or gone, so a refactor that
     # breaks the benchmark fails here too.
@@ -400,5 +421,12 @@ def test_benchmark_tracer_installs(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    with tracing.Tracer():
-        pass
+    # the benchmark's cli.write_csv_s and write_mb_per_s come from
+    # SampleBatch.write_csv; a CSV writer that bypassed it would read 0
+    target = tmp_path / "rows.csv"
+    with tracing.Tracer() as tracer:
+        assert cli.main(["sample", "--family", "pinned", "-n", "5000",
+                         "--out", str(target)]) == 0
+    writes = [s for s in tracer.spans if s.name == "cli.write_csv"]
+    assert len(writes) == 1
+    assert writes[0].info["bytes"] == target.stat().st_size

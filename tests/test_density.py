@@ -134,6 +134,26 @@ def test_zero_outside_support(tag):
         [False, True])
 
 
+HUGE = (1e103, 1e155, 1e300, 1.7e308)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_huge_coordinates_give_zero_without_warnings(tag):
+    # polynomial factors overflow long before the density's exp(-pi b^2) or
+    # power-law decay lets go, which once gave inf * 0 = NaN and warnings
+    arity = CATALOG[tag].arity
+    points = [(h,) * arity for h in (*HUGE, math.inf)]
+    if arity > 1:  # one coordinate huge, or all but one
+        points += [tuple(h if (j == i) == alone else 1.0 for j in range(arity))
+                   for h in (*HUGE, math.inf) for i in range(arity)
+                   for alone in (True, False)]
+    values = [CATALOG[tag].pdf(*point) for point in points]
+    # the slowest tails decay like x^-2, 4e-207 at 1e103
+    assert all(0.0 <= v < 1e-200 for v in values), list(zip(points, values))
+    np.testing.assert_array_equal(CATALOG[tag].pdf(*np.array(points).T), values)
+
+
 def test_joint_support_conditions():
     # trivariate: requires 0 < c < b and |b - c| < a < b + c
     j = density.pdf_pinned_sides_joint

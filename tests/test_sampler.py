@@ -180,19 +180,19 @@ def test_statistic_names_and_values():
 
 
 def test_write_csv_round_trip():
-    batch = sample_batch("staked", 25, RandomStream(17))
-    buf = io.StringIO()
-    batch.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 26
-    fields = [line.split(",") for line in lines[1:]]
-    assert all(row[0] == "staked" for row in fields)
-    numbers = np.array([[float(v) for v in row[1:]] for row in fields])
-    # 17 significant digits reproduce float64 exactly
-    np.testing.assert_array_equal(numbers[:, 0:6], batch.vertices)
-    np.testing.assert_array_equal(numbers[:, 6:9], batch.sides)
-    np.testing.assert_array_equal(numbers[:, 9:12], batch.angles)
+    # one full block of rows plus one, against the per-cell rendering
+    for family in FAMILIES:
+        batch = sample_batch(family, sampler._ROW_BLOCK + 1, RandomStream(17))
+        buf = io.StringIO()
+        batch.write_csv(buf)
+        table = np.hstack([batch.vertices, batch.sides, batch.angles])
+        expected = "".join(family + "," + ",".join(f"{v:.17g}" for v in row) + "\n"
+                           for row in table)
+        assert buf.getvalue() == CSV_HEADER + "\n" + expected
+        # 17 significant digits reproduce float64 exactly
+        numbers = np.loadtxt(io.StringIO(expected), delimiter=",",
+                             usecols=range(1, 13))
+        np.testing.assert_array_equal(numbers, table)
 
 
 def test_write_csv_to_path(tmp_path):
