@@ -18,11 +18,11 @@ The public surface is re-exported here; the ``nntriangles`` console script
 tables, plots, and the deterministic verification suite.
 """
 
-from .density import CATALOG, DensityKind, pdf
+from .density import CATALOG, DensityKind
 from .geom import (Triangle, TriangleAngles, angles_from_sides, area,
-                   heron_product, is_acute, is_obtuse, sides_from_angles)
+                   heron_product, sides_from_angles)
 from .gof import (EmpiricalSample, GofReport, cdf_from_pdf, chi_square_region,
-                  ks_one_sample, ks_two_sample, quantile, run_ks_matrix)
+                  ks_one_sample, ks_two_sample, quantile)
 from .moments import (EXPECTED_AC, MomentReport, MomentTarget, acuteness,
                       by_monte_carlo, by_quadrature, closed_form,
                       correlation_ab, expected_ac, moment_report,
@@ -35,11 +35,11 @@ from .verify import CheckResult, run_suite, suite_passed
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG", "DensityKind", "pdf",
+    "CATALOG", "DensityKind",
     "Triangle", "TriangleAngles", "angles_from_sides", "area",
-    "heron_product", "is_acute", "is_obtuse", "sides_from_angles",
+    "heron_product", "sides_from_angles",
     "EmpiricalSample", "GofReport", "cdf_from_pdf", "chi_square_region",
-    "ks_one_sample", "ks_two_sample", "quantile", "run_ks_matrix",
+    "ks_one_sample", "ks_two_sample", "quantile",
     "EXPECTED_AC", "MomentReport", "MomentTarget", "acuteness",
     "by_monte_carlo", "by_quadrature", "closed_form", "correlation_ab",
     "expected_ac", "moment_report", "reference_value", "targets",

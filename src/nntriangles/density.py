@@ -23,8 +23,7 @@ Every evaluator accepts scalars or ndarrays (broadcasting), returns 0.0
 outside the open support, NaN wherever any coordinate is NaN, and
 math.inf at boundary points where the density genuinely diverges
 (collinear side triples, the unit point of the uT side/ratio/max
-densities).  Only ``pdf_pair_ac`` (adaptively) and the staked and
-anchored angle marginals (by a fixed rule) integrate internally;
+densities).  Only ``pdf_pair_ac`` integrates internally (adaptively);
 everything else is closed-form.
 """
 
@@ -38,15 +37,12 @@ import numpy as np
 
 from .geom import heron_product
 # integrate_1d stays bound here for the benchmark's tracer (perfbench/tracing.py).
-from .numerics import (GL16_NODES, GL16_WEIGHTS, ROW_SLICE, QuadratureSpec,  # noqa: F401
-                       erfc, integrate_1d, integrate_batch, weighted_sums)
+from .numerics import QuadratureSpec, erfc, integrate_1d, integrate_batch  # noqa: F401
 
 __all__ = [
     "CATALOG",
     "DensityKind",
     "QuadratureError",
-    "kinds",
-    "pdf",
 ]
 
 _PI = math.pi
@@ -97,18 +93,20 @@ def pdf_pinned_sides_joint(x, y, z):
     8*pi*x*y*z * exp(-pi y^2) / sqrt(D) on {y-z < x < y+z, y > z > 0},
     where D is the Heron product; infinite on the collinear boundary
     x = y +- z while y < 16 (exp(-pi y^2) is 0 from there), zero elsewhere.
+    With x > 0 and 0 < z < y at most one factor of D is negative, so the
+    sign of D alone tells the interior (> 0) from the boundary (== 0) and
+    the outside (< 0).
     """
     (X, Y, Z), out, scalar = _broadcast(x, y, z)
-    closure = (Z > 0.0) & (Y > Z) & (Y < _GAUSS_ZERO_FROM)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite sides
-        lo, hi = Y - Z, Y + Z
-    inside = closure & (X > lo) & (X < hi)
-    if inside.any():
-        a, b, c = X[inside], Y[inside], Z[inside]
-        out[inside] = (8.0 * _PI * a * b * c * np.exp(-_PI * b * b)
-                       / np.sqrt(heron_product(a, b, c)))
-    edge = closure & ((X == lo) | (X == hi))
-    out[edge] = math.inf
+    closure = (X > 0.0) & (Z > 0.0) & (Y > Z) & (Y < _GAUSS_ZERO_FROM)
+    a, b, c = X[closure], Y[closure], Z[closure]
+    with np.errstate(over="ignore"):  # huge or infinite a
+        d = heron_product(a, b, c)
+    vals = np.where(d < 0.0, 0.0, math.inf)
+    inside = d > 0.0
+    a, b, c = a[inside], b[inside], c[inside]
+    vals[inside] = 8.0 * _PI * a * b * c * np.exp(-_PI * b * b) / np.sqrt(d[inside])
+    out[closure] = vals
     return _finish(out, scalar)
 
 
@@ -413,55 +411,33 @@ def pdf_anchored_angles_joint(alpha, beta):
     return _finish(out, scalar)
 
 
-_MARGINAL_PANELS = 12
-# Composite 16-point Gauss-Legendre abscissae/weights on (0, 1).
-_T01 = ((np.arange(_MARGINAL_PANELS)[:, None] + 0.5 + 0.5 * GL16_NODES[None, :])
-        / _MARGINAL_PANELS).ravel()
-_W01 = np.tile(0.5 * GL16_WEIGHTS / _MARGINAL_PANELS, _MARGINAL_PANELS)
+def _fixed_vertex_angle(x, r: float):
+    """Density of the angle at a fixed vertex at distance r from the origin
+    whose ray to the other fixed vertex passes through the origin.
 
-
-def _angle_marginal(joint: Callable, x, marginal_of_first: bool):
-    """Integrate a bivariate angle density over its partner variable.
-
-    As x -> 0 both joint kernels develop features of width ~x at the two
-    ends of the partner's range (0, pi - x), so the range is split into a
-    quadratically graded layer at each end plus an interior handled in the
-    cot(partner) variable, where the remaining integrand is slowly varying.
-    The layer width tracks x, keeping every piece resolved at any x.  Points
-    run ROW_SLICE at a time, each integrated on its own.
+    The random vertex has density 2 exp(-pi |p|^2) on the upper half-plane.
+    In polar coordinates (s, phi) at the fixed vertex, phi measured from
+    that ray, |p|^2 = (s - r cos phi)^2 + r^2 sin^2 phi, so the radial
+    integral is elementary:
+    exp(-pi r^2)/pi + r cos(phi) exp(-pi r^2 sin^2 phi) erfc(-sqrt(pi) r cos phi).
     """
     (X,), out, scalar = _broadcast(x)
-    m = np.flatnonzero((X > 0.0) & (X < _PI))
-    t = _T01[None, :]
-    for start in range(0, m.size, ROW_SLICE):
-        rows = m[start:start + ROW_SLICE]
-        xs = X[rows][:, None]
-        span = _PI - xs
-        cut = np.minimum(20.0 * xs, 0.25 * span)
-        layer = cut * t * t
-        layer_jac = 2.0 * cut * t
-        cot_hi = 1.0 / np.tan(cut)
-        cot_lo = 1.0 / np.tan(span - cut)
-        cot_mid = cot_lo + (cot_hi - cot_lo) * t
-        interior = np.arctan2(1.0, cot_mid)
-        interior_jac = (cot_hi - cot_lo) / (1.0 + cot_mid * cot_mid)
-        total = 0.0
-        for partner, jac in ((layer, layer_jac), (span - layer, layer_jac),
-                             (interior, interior_jac)):
-            vals = joint(xs, partner) if marginal_of_first else joint(partner, xs)
-            total = total + weighted_sums(vals * jac, _W01)
-        out[rows] = total
+    m = (X > 0.0) & (X < _PI)
+    rc = r * np.cos(X[m])
+    out[m] = (math.exp(-_PI * r * r) / _PI
+              + rc * np.exp(-_PI * (r * np.sin(X[m])) ** 2) * erfc(-math.sqrt(_PI) * rc))
     return _finish(out, scalar)
 
 
 def pdf_staked_beta(x):
-    """Marginal of the staked far-vertex angle (numeric marginalization)."""
-    return _angle_marginal(pdf_staked_angles_joint, x, marginal_of_first=False)
+    """Marginal of the staked far-vertex angle: B = (1, 0) sits at r = 1."""
+    return _fixed_vertex_angle(x, 1.0)
 
 
 def pdf_anchored_alpha(x):
-    """Marginal of either anchored angle (the two are exchangeable)."""
-    return _angle_marginal(pdf_anchored_angles_joint, x, marginal_of_first=True)
+    """Marginal of either anchored angle (the two are exchangeable):
+    A = (-1/2, 0) sits at r = 1/2."""
+    return _fixed_vertex_angle(x, 0.5)
 
 
 pdf_anchored_beta = pdf_anchored_alpha
@@ -550,7 +526,6 @@ class DensityKind:
     # smooth (branch joins and series hand-over points); splitting panels
     # there keeps every panel's integrand analytic.
     breakpoints: tuple = ()
-    grid_edges: int = 4097            # panel edges over the core of its CDF grid
 
 
 _INF = math.inf
@@ -605,15 +580,12 @@ _register(DensityKind("anchored_angles_joint", 2, pdf_anchored_angles_joint,
                       ((0.0, _PI), (0.0, _PI)), family="anchored", marginal="anchored_alpha"))
 _register(DensityKind("staked_alpha", 1, pdf_staked_alpha, ((0.0, _PI),),
                       family="staked", statistic="alpha"))
-# The integral-form angle marginals cost one inner quadrature per
-# evaluation point but are smooth and bounded, so a quarter of the panel
-# density still leaves the grid error near 1e-8.
 _register(DensityKind("staked_beta", 1, pdf_staked_beta, ((0.0, _PI),),
-                      family="staked", statistic="beta", grid_edges=1025))
+                      family="staked", statistic="beta"))
 _register(DensityKind("anchored_alpha", 1, pdf_anchored_alpha, ((0.0, _PI),),
-                      family="anchored", statistic="alpha", grid_edges=1025))
+                      family="anchored", statistic="alpha"))
 _register(DensityKind("anchored_beta", 1, pdf_anchored_beta, ((0.0, _PI),),
-                      family="anchored", statistic="beta", grid_edges=1025))
+                      family="anchored", statistic="beta"))
 _register(DensityKind("uT_sides_joint", 2, pdf_uT_sides_joint,
                       ((0.0, _INF), (0.0, _INF)), family="uniformT", marginal="uT_side_a"))
 _register(DensityKind("uT_side_a", 1, pdf_uT_side_a, ((0.0, _INF),), family="uniformT",
@@ -625,16 +597,3 @@ _register(DensityKind("uT_max", 1, pdf_uT_max, ((0.5, _INF),), family="uniformT"
 _register(DensityKind("uT_min", 1, pdf_uT_min, ((0.0, _INF),), family="uniformT",
                       statistic="min_ab", tail="power", tail_power=2.0, breakpoints=(0.5,)))
 
-
-def kinds(arity: int | None = None) -> list[str]:
-    """Catalog tags, optionally filtered by arity."""
-    return [k for k, v in CATALOG.items() if arity is None or v.arity == arity]
-
-
-def pdf(tag: str, *coords, **kwargs):
-    """Evaluate a catalog density by tag."""
-    try:
-        kind = CATALOG[tag]
-    except KeyError:
-        raise KeyError(f"unknown density kind {tag!r}; see kinds()") from None
-    return kind.pdf(*coords, **kwargs)

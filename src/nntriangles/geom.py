@@ -1,4 +1,4 @@
-"""Planar triangle primitives: sides, angles, area, classification."""
+"""Planar triangle primitives: sides, angles, area."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ from dataclasses import dataclass
 # A triangle whose smallest inequality margin falls at or below this is
 # treated as degenerate (numerically collinear).
 DEGENERACY_TOL = 1e-12
-
-# Angles within this of a right angle count as right, not obtuse.
-RIGHT_ANGLE_TOL = 1e-12
 
 
 def heron_product(a: float, b: float, c: float) -> float:
@@ -59,9 +56,6 @@ class TriangleAngles:
         if abs(self.alpha + self.beta + self.gamma - math.pi) > 1e-9:
             raise ValueError(f"angles must sum to pi: {self}")
 
-    def largest(self) -> float:
-        return max(self.alpha, self.beta, self.gamma)
-
 
 def angles_from_sides(t: Triangle) -> TriangleAngles:
     """Interior angles via atan2 of (4*area, law-of-cosines numerator).
@@ -94,22 +88,3 @@ def area(t: Triangle) -> float:
     """Triangle area, sqrt(heron_product)/4."""
     return math.sqrt(heron_product(t.a, t.b, t.c)) / 4.0
 
-
-def is_obtuse(angles: TriangleAngles) -> bool:
-    """True when the largest angle exceeds pi/2; right angles are not obtuse."""
-    return angles.largest() > math.pi / 2.0 + RIGHT_ANGLE_TOL
-
-
-def is_acute(angles: TriangleAngles) -> bool:
-    """True when every angle is strictly below pi/2 (right angles excluded)."""
-    return angles.largest() < math.pi / 2.0 - RIGHT_ANGLE_TOL
-
-
-def sides_from_points(ax: float, ay: float, bx: float, by: float,
-                      cx: float, cy: float) -> Triangle:
-    """Triangle spanned by vertices A, B, C; side a is opposite vertex A."""
-    return Triangle(
-        math.hypot(bx - cx, by - cy),
-        math.hypot(ax - cx, ay - cy),
-        math.hypot(ax - bx, ay - by),
-    )

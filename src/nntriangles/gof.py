@@ -14,7 +14,7 @@ Thresholds are asymptotic: the Kolmogorov criterion sqrt(ln(2/alpha)/2)
 scaled by the sample sizes, and a Wilson-Hilferty chi-square quantile.
 :func:`ks_battery` tests catalog kinds against the sampler statistics their
 records name, on one batch per family; ``KS_MATRIX`` lists the standard
-battery covering every family, and :func:`run_ks_matrix` executes it.
+battery covering every family.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "ks_two_sample",
     "quadrature_pieces",
     "quantile",
-    "run_ks_matrix",
 ]
 
 _PI = math.pi
@@ -152,6 +151,9 @@ def chi_square_quantile(p: float, dof: int) -> float:
 # distribution-function grids
 # ---------------------------------------------------------------------------
 
+# Panel edges over the core of every grid (up to the support's end, the
+# Gaussian cutoff or the start of the logarithmic power tail).
+_CORE_EDGES = 4097
 _LOG_EDGES = 1281
 _LOG_START = 12.0
 # Geometric ladder of panel edges on both sides of each integrable
@@ -160,7 +162,7 @@ _SING_OFFSETS = np.geomspace(1e-9, 0.08, 56)
 _TAIL_FRACTION = 1e-16
 
 
-def _grid_edges(kind: DensityKind) -> np.ndarray:
+def _cdf_edges(kind: DensityKind) -> np.ndarray:
     lo, hi = kind.support[0]
     if kind.tail == "finite":
         core_end, log_end = hi, None
@@ -176,7 +178,7 @@ def _grid_edges(kind: DensityKind) -> np.ndarray:
     else:  # pragma: no cover - catalog invariant
         raise ValueError(f"unknown tail kind {kind.tail!r}")
 
-    pieces = [np.linspace(lo, core_end, kind.grid_edges)]
+    pieces = [np.linspace(lo, core_end, _CORE_EDGES)]
     if log_end is not None:
         pieces.append(np.geomspace(core_end, log_end, _LOG_EDGES)[1:])
     upper = core_end if log_end is None else log_end
@@ -194,7 +196,7 @@ class _CdfGrid:
     once over a dense panel grid and interpolated monotonically."""
 
     def __init__(self, kind: DensityKind):
-        edges = _grid_edges(kind)
+        edges = _cdf_edges(kind)
         masses = fixed_panel_integrals(kind.pdf, edges, kind.singular_points)
         cdf = np.concatenate(([0.0], np.cumsum(masses)))
         cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
@@ -229,7 +231,7 @@ def _resolve_kind(kind) -> DensityKind:
 
 def _grid(kind: DensityKind) -> _CdfGrid:
     key = (kind.pdf, kind.support, kind.singular_points, kind.tail, kind.tail_power,
-           kind.gauss_scale, kind.gauss_degree, kind.breakpoints, kind.grid_edges)
+           kind.gauss_scale, kind.gauss_degree, kind.breakpoints)
     grid = _GRIDS.get(key)
     if grid is None:
         grid = _GRIDS[key] = _CdfGrid(kind)
@@ -474,9 +476,3 @@ def ks_battery(n: int, seed: int, tags,
         reports.append(ks_one_sample(sample, tag, alpha))
     return batches, reports
 
-
-def run_ks_matrix(n: int = 100_000, alpha: float = 0.001,
-                  seed: int = 2) -> list[GofReport]:
-    """One-sample KS test for every row of ``KS_MATRIX`` (see :func:`ks_battery`)."""
-    alpha = _check_alpha(alpha)
-    return ks_battery(n, seed, [tag for tag, _, _ in KS_MATRIX], alpha)[1]

@@ -20,10 +20,10 @@ singularities are removed exactly by the substitution x = a + (b-a) sin^2(t),
 which turns 1/sqrt(x-a) and 1/sqrt(b-x) factors into smooth ones.
 
 Every fixed-node rule in the package -- the G7-K15 panels, the sin^2 rule of
-:func:`sin2_integrals`, the angle marginals and the chi-square cells --
-reduces its node values with :func:`weighted_sums`, and the adaptive
-engine totals its panels per integral; both sum each row on its own in the
-pairwise order of ``ndarray.sum`` (:func:`_pairwise_sums`, no BLAS call).
+:func:`sin2_integrals` and the chi-square cells -- reduces its node values
+with :func:`weighted_sums`, and the adaptive engine totals its panels per
+integral; both sum each row on its own in the pairwise order of
+``ndarray.sum`` (:func:`_pairwise_sums`, no BLAS call).
 So a row's result does not depend on how many other rows share its call:
 batching, slicing and chunking leave every number bit for bit unchanged.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "CATALAN",
     "GL16_NODES",
     "GL16_WEIGHTS",
-    "ROW_SLICE",
     "BatchResult",
     "IntegralResult",
     "IntegrandError",
@@ -111,8 +110,8 @@ _WG7 = np.array([
 _EPS = np.finfo(float).eps
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: the one rule behind every
-# fixed-node integral in the package (angle marginals, chi-square cells,
-# and the sin^2 rule below).
+# fixed-node integral in the package (chi-square cells and the sin^2 rule
+# below).
 GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # The sin^2 rule of sin2_integrals: six 16-point panels on t in (0, pi/2)
@@ -123,9 +122,9 @@ _SIN2_T = (math.pi / 2.0) * ((np.arange(_SIN2_PANELS)[:, None] + 0.5
 _SIN2_NODES = np.sin(_SIN2_T)**2
 _SIN2_JW = np.sin(2.0 * _SIN2_T) * np.tile((math.pi / 4.0) * GL16_WEIGHTS / _SIN2_PANELS,
                                             _SIN2_PANELS)
-# Rows per slice when a fixed rule expands many rows into (rows, nodes)
+# Rows per slice of sin2_integrals, which expands its rows into (rows, 96)
 # arrays: keeps the temporaries in cache and the memory bounded.
-ROW_SLICE = 256
+_ROW_SLICE = 256
 
 
 class IntegrandError(ValueError):
@@ -500,13 +499,13 @@ def sin2_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     x = lo + (hi - lo) sin^2 t the integrand is smooth, and six 16-point
     Gauss-Legendre panels cover t in (0, pi/2).  g(x, rows) receives the
     (r, 96) nodes of the rows selected by the slice ``rows`` and returns
-    values of that shape.  Rows run ROW_SLICE at a time; each row's result
-    depends on that row only.
+    values of that shape.  Rows run 256 at a time (``_ROW_SLICE``); each
+    row's result depends on that row only.
     """
     width = hi - lo
     out = np.empty(len(lo))
-    for start in range(0, len(lo), ROW_SLICE):
-        rows = slice(start, start + ROW_SLICE)
+    for start in range(0, len(lo), _ROW_SLICE):
+        rows = slice(start, start + _ROW_SLICE)
         x = lo[rows, None] + width[rows, None] * _SIN2_NODES
         out[rows] = weighted_sums(g(x, rows), _SIN2_JW)
     return width * out

@@ -184,26 +184,20 @@ def _marginal_c_deviation(points: np.ndarray) -> float:
     return float(np.abs(r.value - pdf_pinned_c(points)).max())
 
 
-def _angle_marginal_deviations() -> tuple[float, float, float]:
+def _angle_joint_deviations() -> tuple[float, float, float]:
     """Numeric marginals of the angle joints vs the uniform alpha law and
-    the closed-form beta density."""
+    the closed-form beta density, one batch of 20 points each."""
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    worst_alpha = 0.0
-    for al in np.linspace(0.15, _PI - 0.15, 20):
-        v = integrate_1d(lambda be: pdf_pinned_angles_joint(al, be),
-                         0.5 * (_PI - al), _PI - al, spec).value
-        worst_alpha = max(worst_alpha, abs(v - 1.0 / _PI))
-    worst_beta = 0.0
-    for be in np.linspace(0.15, _PI - 0.15, 20):
-        v = integrate_1d(lambda al: pdf_pinned_angles_joint(al, be),
-                         max(0.0, _PI - 2.0 * be), _PI - be, spec).value
-        worst_beta = max(worst_beta, abs(v - pdf_pinned_beta(float(be))))
-    worst_staked = 0.0
-    for al in np.linspace(0.15, _PI - 0.15, 20):
-        v = integrate_1d(lambda be: pdf_staked_angles_joint(al, be),
-                         0.0, _PI - al, spec).value
-        worst_staked = max(worst_staked, abs(v - 1.0 / _PI))
-    return worst_alpha, worst_beta, worst_staked
+    points = np.linspace(0.15, _PI - 0.15, 20)
+    alpha = integrate_batch(lambda be, k: pdf_pinned_angles_joint(points[k], be),
+                            0.5 * (_PI - points), _PI - points, spec)
+    beta = integrate_batch(lambda al, k: pdf_pinned_angles_joint(al, points[k]),
+                           np.maximum(0.0, _PI - 2.0 * points), _PI - points, spec)
+    staked = integrate_batch(lambda be, k: pdf_staked_angles_joint(points[k], be),
+                             np.zeros_like(points), _PI - points, spec)
+    return (float(np.abs(alpha.value - 1.0 / _PI).max()),
+            float(np.abs(beta.value - pdf_pinned_beta(points)).max()),
+            float(np.abs(staked.value - 1.0 / _PI).max()))
 
 
 def _uT_ratio_identity_deviation() -> float:
@@ -213,12 +207,9 @@ def _uT_ratio_identity_deviation() -> float:
                          np.linspace(1.1, 2.6, 8),
                          [4.0, 6.0, 9.0, 14.0]])
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
-    worst = 0.0
-    for z in zs:
-        f = lambda b: b * pdf_uT_sides_joint(z * b, b)
-        v = integrate_1d(f, 1.0 / (1.0 + z), 1.0 / abs(1.0 - z), spec).value
-        worst = max(worst, abs(v - pdf_uT_side_a(float(z))))
-    return worst
+    r = integrate_batch(lambda b, k: b * pdf_uT_sides_joint(zs[k] * b, b),
+                        1.0 / (1.0 + zs), 1.0 / np.abs(1.0 - zs), spec)
+    return float(np.abs(r.value - pdf_uT_side_a(zs)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +413,7 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
                       _marginal_b_deviation(np.linspace(0.15, 1.9, 20)), 1e-5))
     rows.append(_near("marginal-consistency:sides-c", "pinned", 0.0,
                       _marginal_c_deviation(np.linspace(0.08, 1.4, 20)), 1e-5))
-    dev_alpha, dev_beta, dev_staked = _angle_marginal_deviations()
+    dev_alpha, dev_beta, dev_staked = _angle_joint_deviations()
     rows.append(_near("marginal-consistency:angles-alpha-uniform", "pinned",
                       0.0, dev_alpha, 1e-6))
     rows.append(_near("marginal-consistency:angles-beta-closed-form", "pinned",

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from nntriangles import density, gof
-from nntriangles.density import CATALOG, kinds, pdf
+from nntriangles.density import CATALOG
 from nntriangles.gof import KS_MATRIX
-from nntriangles.numerics import QuadratureSpec, integrate_1d
+from nntriangles.numerics import QuadratureSpec, integrate_1d, integrate_batch
 from nntriangles.sampler import FAMILIES, RandomStream, sample_batch
 
 PI = math.pi
 
-UNIVARIATE = kinds(1)
+UNIVARIATE = [tag for tag, kind in CATALOG.items() if kind.arity == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +29,8 @@ UNIVARIATE = kinds(1)
 
 def test_catalog_size_and_arities():
     assert len(CATALOG) == 28
-    assert len(kinds(1)) == 20
-    assert len(kinds(2)) == 7
-    assert len(kinds(3)) == 1
-    assert kinds() == list(CATALOG)
+    arities = [kind.arity for kind in CATALOG.values()]
+    assert (arities.count(1), arities.count(2), arities.count(3)) == (20, 7, 1)
 
 
 def test_catalog_metadata_consistency():
@@ -84,15 +82,6 @@ def test_shared_marginal_objects():
     assert gof._grid(CATALOG["anchored_beta"]) is gof._grid(CATALOG["anchored_alpha"])
     assert gof._grid(CATALOG["uT_ratio"]) is gof._grid(CATALOG["uT_side_a"])
     assert gof._grid(CATALOG["staked_alpha"]) is gof._grid(CATALOG["pinned_alpha"])
-
-
-def test_dispatcher_routes_and_rejects():
-    assert pdf("pinned_c", 0.7) == density.pdf_pinned_c(0.7)
-    x = np.array([0.2, 0.9, 1.4])
-    np.testing.assert_array_equal(pdf("pinned_a", x), density.pdf_pinned_a(x))
-    assert pdf("pair_bc", 1.0, 0.5) == density.pdf_pair_bc(1.0, 0.5)
-    with pytest.raises(KeyError):
-        pdf("no_such_kind", 0.5)
 
 
 def test_scalar_and_array_shapes():
@@ -186,6 +175,12 @@ def test_divergent_boundary_points_return_inf():
     # collinear side triples (dyadic values make the edge tests exact)
     assert density.pdf_pinned_sides_joint(2.0, 1.25, 0.75) == math.inf
     assert density.pdf_pinned_sides_joint(0.5, 1.25, 0.75) == math.inf
+    assert density.pdf_pinned_sides_joint(1.5, 1.0, 0.5) == math.inf
+    assert density.pdf_pinned_sides_joint(0.5, 1.0, 0.5) == math.inf
+    # a needle triangle whose b +- c both round to a is still inside: the
+    # density tends to 4 pi exp(-pi) as c -> 0 along a = b
+    assert density.pdf_pinned_sides_joint(1.0, 1.0, 1e-17) == pytest.approx(
+        4.0 * PI * math.exp(-PI), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +402,36 @@ def test_anchored_alpha_marginal_matches_joint(x):
                      0.0, PI - x, spec)
     assert r.converged
     assert r.value == pytest.approx(density.pdf_anchored_alpha(x), rel=1e-8)
+
+
+# The closed-form angle marginals at a fixed vertex at distance r from the
+# origin (staked beta at B, r = 1; anchored alpha at A, r = 1/2), each with
+# its joint in (marginal angle, partner angle) order.
+ANGLE_MARGINALS = [
+    (density.pdf_staked_beta,
+     lambda x, partner: density.pdf_staked_angles_joint(partner, x), 1.0),
+    (density.pdf_anchored_alpha, density.pdf_anchored_angles_joint, 0.5),
+]
+
+
+@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS,
+                         ids=["staked_beta", "anchored_alpha"])
+def test_angle_marginal_matches_integrated_joint(marginal, joint, r):
+    xs = np.linspace(1e-3, PI - 1e-3, 40)
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+    res = integrate_batch(lambda p, k: joint(xs[k], p), np.zeros_like(xs), PI - xs, spec)
+    assert res.converged.all()
+    assert np.abs(res.value - marginal(xs)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS,
+                         ids=["staked_beta", "anchored_alpha"])
+def test_angle_marginal_endpoint_limits(marginal, joint, r):
+    # exp(-pi r^2)/pi +- r erfc(-+sqrt(pi) r) as phi -> 0 and phi -> pi
+    base = math.exp(-PI * r * r) / PI
+    root = math.sqrt(PI) * r
+    assert marginal(1e-9) == pytest.approx(base + r * math.erfc(-root), abs=1e-15)
+    assert marginal(PI - 1e-9) == pytest.approx(base - r * math.erfc(root), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

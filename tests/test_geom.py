@@ -5,8 +5,7 @@ import math
 import pytest
 
 from nntriangles.geom import (Triangle, TriangleAngles, angles_from_sides,
-                              area, heron_product, is_acute, is_obtuse,
-                              sides_from_angles, sides_from_points)
+                              area, heron_product, sides_from_angles)
 
 PI = math.pi
 
@@ -75,22 +74,6 @@ def test_area_of_right_triangle():
 
 def test_heron_product_zero_when_degenerate():
     assert heron_product(2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_acute_obtuse_classification():
-    equilateral = angles_from_sides(Triangle(1.0, 1.0, 1.0))
-    assert is_acute(equilateral) and not is_obtuse(equilateral)
-    flat = angles_from_sides(Triangle(2.0, 1.2, 1.0))
-    assert is_obtuse(flat) and not is_acute(flat)
-    right = angles_from_sides(Triangle(5.0, 4.0, 3.0))
-    assert not is_acute(right)
-
-
-def test_sides_from_points_matches_distances():
-    t = sides_from_points(0.0, 0.0, 1.0, 0.5, -0.3, 0.8)
-    assert t.a == pytest.approx(math.hypot(1.0 + 0.3, 0.5 - 0.8), rel=1e-15)
-    assert t.b == pytest.approx(math.hypot(0.3, 0.8), rel=1e-15)
-    assert t.c == pytest.approx(math.hypot(1.0, 0.5), rel=1e-15)
 
 
 def test_triangle_angles_validation():

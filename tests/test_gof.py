@@ -23,11 +23,11 @@ from nntriangles.gof import (
     cdf_from_pdf,
     chi_square_quantile,
     chi_square_region,
+    ks_battery,
     ks_critical,
     ks_one_sample,
     ks_two_sample,
     quantile,
-    run_ks_matrix,
 )
 from nntriangles.density import CATALOG
 from nntriangles.numerics import fixed_panel_integrals
@@ -124,16 +124,21 @@ def test_cdf_is_a_distribution_function():
 
 @pytest.mark.parametrize("tag", ["uT_max", "anchored_alpha"])
 def test_grid_panels_do_not_depend_on_chunking(tag):
-    # uT_max has a singular point (sin^2 panels), anchored_alpha expands
-    # every point into a fixed rule of its own; chunks of 7 edges share an
-    # edge with their neighbours
+    # uT_max has a singular point (sin^2 panels), anchored_alpha is a
+    # regular closed form; chunks of 7 edges share an edge with their
+    # neighbours
     kind = CATALOG[tag]
-    edges = gof._grid_edges(kind)
+    edges = gof._cdf_edges(kind)
     whole = fixed_panel_integrals(kind.pdf, edges, kind.singular_points)
     chunked = np.concatenate([
         fixed_panel_integrals(kind.pdf, edges[start:start + 7], kind.singular_points)
         for start in range(0, len(edges) - 1, 6)])
     assert whole.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["staked_beta", "anchored_alpha"])
+def test_closed_form_angle_grids_hold_unit_mass(tag):
+    assert abs(gof._grid(CATALOG[tag]).total - 1.0) <= 1e-13
 
 
 def test_integral_form_grid_memory_stays_bounded():
@@ -309,7 +314,7 @@ def test_ks_matrix_covers_all_sampled_univariate_laws():
 
 
 def test_run_ks_matrix_light():
-    reports = run_ks_matrix(n=3000, alpha=0.001, seed=2)
+    reports = ks_battery(3000, 2, [tag for tag, _, _ in KS_MATRIX], alpha=0.001)[1]
     assert len(reports) == 17
     assert all(r.verdict for r in reports)
     assert all(r.n == 3000 for r in reports)
