@@ -35,7 +35,8 @@ from . import verify as verification
 from ._svg import freedman_diaconis_bins, render_density_plot
 from .density import CATALOG
 from .gof import quantile
-from .sampler import CSV_HEADER, FAMILIES, RandomStream, sample_batch, write_rows
+from .sampler import (_ROW_BLOCK, CSV_HEADER, FAMILIES, RandomStream, sample_batch,
+                      write_rows)
 
 __all__ = ["RunConfig", "PlotSpec", "main"]
 
@@ -135,8 +136,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"grid count must be an integer: {parts[2]!r}") from None
     if not 0 <= count <= _MAX_GRID_COUNT:
         raise UsageError(f"grid count must be in [0, {_MAX_GRID_COUNT}]: {count}")
-    if count and not hi > lo:
-        raise UsageError(f"grid needs stop > start: {text!r}")
+    if count and not (hi > lo and math.isfinite(hi - lo)):
+        raise UsageError(f"grid needs finite start < stop: {text!r}")
     step = (hi - lo) / count if count else 0.0
     return lo + (np.arange(count) + 0.5) * step
 
@@ -170,13 +171,30 @@ def _records(columns: list[str], rows) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows]
 
 
+def _write_records(destination, columns: list[str], rows) -> None:
+    """``json.dumps(records, indent=1) + "\\n"`` of the rows as column-keyed
+    records, the same bytes written ``_ROW_BLOCK`` records at a time, to a
+    path or an open text stream."""
+    if not hasattr(destination, "write"):
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            _write_records(handle, columns, rows)
+        return
+    separator = "[\n"
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = json.dumps(_records(columns, rows[start:start + _ROW_BLOCK]), indent=1)
+        destination.write(separator + block[2:-2])
+        separator = ",\n"
+    destination.write("\n]\n" if len(rows) else "[]\n")
+
+
 def _write_table(columns: list[str], rows, cfg: RunConfig) -> None:
     """Rows of cells in column order as CSV (cells print by ``str``) or JSON records."""
+    destination = sys.stdout if cfg.out is None else cfg.out
     if cfg.fmt == "json":
-        _emit(json.dumps(_records(columns, rows), indent=1) + "\n", cfg.out)
+        _write_records(destination, columns, rows)
         return
-    write_rows(sys.stdout if cfg.out is None else cfg.out, ",".join(columns),
-               ",".join(["%s"] * len(columns)), np.asarray(rows, dtype=object))
+    write_rows(destination, ",".join(columns), ",".join(["%s"] * len(columns)),
+               np.asarray(rows, dtype=object))
 
 
 def _emit(text: str, out: str | None) -> None:

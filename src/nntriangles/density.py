@@ -386,7 +386,7 @@ def pdf_staked_angles_joint(alpha, beta):
     alpha marginal is exactly uniform on (0, pi).
     """
     (A, B), out, scalar = _broadcast(alpha, beta)
-    m = (A > 0.0) & (B > 0.0) & (np.minimum(A, _PI) + B < _PI)  # huge A + B never overflows
+    m = (A > 0.0) & (B > 0.0) & (np.clip(A, 0.0, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
         s = np.sin(a + b)
@@ -402,7 +402,7 @@ def pdf_anchored_angles_joint(alpha, beta):
             / sin(alpha+beta)^2) * sin(alpha) sin(beta) / sin(alpha+beta)^3.
     """
     (A, B), out, scalar = _broadcast(alpha, beta)
-    m = (A > 0.0) & (B > 0.0) & (np.minimum(A, _PI) + B < _PI)  # huge A + B never overflows
+    m = (A > 0.0) & (B > 0.0) & (np.clip(A, 0.0, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
         s2 = np.sin(a + b) ** 2

@@ -447,7 +447,8 @@ def moment_report(target: MomentTarget, tol: float = 1e-8, n: int = 10**5,
     Verdict is true when all routes that produced a value agree: quadrature
     against the closed form within max(tol, 10x its error estimate), against
     the decimal reference within 1e-6, and Monte Carlo against the best
-    available value within four standard errors.
+    available value within four standard errors.  A quadrature that did not
+    converge makes the verdict false.
     """
     closed = closed_form(target)
     reference = reference_value(target)
@@ -461,6 +462,7 @@ def moment_report(target: MomentTarget, tol: float = 1e-8, n: int = 10**5,
             quad = None
     mc = by_monte_carlo(target, n, rng, workers) if n else None
     if quad is not None:
+        verdict &= bool(quad.converged)
         if closed is not None:
             verdict &= abs(quad.value - closed) <= max(tol, 10.0 * quad.error)
         elif reference is not None:

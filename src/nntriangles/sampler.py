@@ -30,7 +30,6 @@ observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,18 +109,28 @@ _RATIO_STATS = {
 }
 
 
-@dataclass(frozen=True)
 class SampleBatch:
     """Vectorized sample storage: one row per triangle.
 
     ``vertices`` columns are (ax, ay, bx, by, cx, cy); ``sides`` columns are
-    (a, b, c); ``angles`` columns are (alpha, beta, gamma).
+    (a, b, c); ``angles`` columns are (alpha, beta, gamma).  Angles not
+    given are computed from the sides when first read, then kept.
     """
 
-    family: str
-    vertices: np.ndarray
-    sides: np.ndarray
-    angles: np.ndarray
+    def __init__(self, family: str, vertices: np.ndarray, sides: np.ndarray,
+                 angles: np.ndarray | None = None):
+        self.family = family
+        self.vertices = vertices
+        self.sides = sides
+        self._angles = angles
+
+    # not functools.cached_property: on Python 3.10 and 3.11 it holds one
+    # lock for every instance, which would serialize worker threads
+    @property
+    def angles(self) -> np.ndarray:
+        if self._angles is None:
+            self._angles = _angles_from_sides(self.sides)
+        return self._angles
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -163,9 +172,11 @@ class SampleBatch:
 
 def _sides_from_vertices(vertices: np.ndarray) -> np.ndarray:
     ax, ay, bx, by, cx, cy = vertices.T
-    return np.stack([np.hypot(bx - cx, by - cy),
-                     np.hypot(ax - cx, ay - cy),
-                     np.hypot(ax - bx, ay - by)], axis=1)
+    sides = np.empty((3, len(vertices)))
+    np.hypot(bx - cx, by - cy, out=sides[0])
+    np.hypot(ax - cx, ay - cy, out=sides[1])
+    np.hypot(ax - bx, ay - by, out=sides[2])
+    return sides.T
 
 
 def _angles_from_sides(sides: np.ndarray) -> np.ndarray:
@@ -189,14 +200,14 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
     """Draw rows with ``attempt``, redrawing any that round degenerate.
 
     ``attempt(count, generator)`` returns (vertices, angles-or-None); when
-    angles is None they are recomputed from the side lengths.  Raises
+    angles is None the batch computes them from the sides on first read.
+    A first round that keeps every row is the batch as drawn; otherwise
+    kept rows are scattered into place round by round.  Raises
     RuntimeError if rows are still degenerate after MAX_DRAW_ROUNDS rounds.
     """
     if n < 0:
         raise ValueError(f"sample count must be nonnegative: {n}")
-    vertices = np.empty((n, 6))
-    sides = np.empty((n, 3))
-    angles = np.empty((n, 3))
+    vertices = sides = angles = None
     pending = np.arange(n)
     for _ in range(MAX_DRAW_ROUNDS):
         if not pending.size:
@@ -204,20 +215,26 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
         verts, angs = attempt(pending.size, rng.generator)
         sds = _sides_from_vertices(verts)
         good = _valid_rows(verts, sds)
-        if angs is None:
-            angs = _angles_from_sides(sds)
-        else:
+        if angs is not None:
             good &= (angs > 0.0).all(axis=1) & (angs < math.pi).all(axis=1)
+        if vertices is None:
+            if good.all():
+                return SampleBatch(family, verts, sds, angs)
+            vertices, sides = np.empty((n, 6)), np.empty((n, 3))
+            angles = None if angs is None else np.empty((n, 3))
         rows = pending[good]
         vertices[rows] = verts[good]
         sides[rows] = sds[good]
-        angles[rows] = angs[good]
+        if angles is not None:
+            angles[rows] = angs[good]
         rng.resamples += int(pending.size - rows.size)
         pending = pending[~good]
     if pending.size:
         raise RuntimeError(
             f"{family} sampler: {pending.size} rows still degenerate after "
             f"{MAX_DRAW_ROUNDS} draw rounds")
+    if vertices is None:
+        return SampleBatch(family, np.empty((0, 6)), np.empty((0, 3)))
     return SampleBatch(family, vertices, sides, angles)
 
 
@@ -228,38 +245,38 @@ def _attempt_pinned(count: int, gen: np.random.Generator):
     theta_c = gen.uniform(0.0, _TWO_PI, count)
     rb = np.sqrt(sq_near)
     rc = np.sqrt(sq_far)
-    verts = np.zeros((count, 6))
-    verts[:, 2] = rb * np.cos(theta_b)
-    verts[:, 3] = rb * np.sin(theta_b)
-    verts[:, 4] = rc * np.cos(theta_c)
-    verts[:, 5] = rc * np.sin(theta_c)
+    cols = np.zeros((6, count))
+    cols[2] = rb * np.cos(theta_b)
+    cols[3] = rb * np.sin(theta_b)
+    cols[4] = rc * np.cos(theta_c)
+    cols[5] = rc * np.sin(theta_c)
     # rounding could collapse the strict ||B|| < ||C|| ordering; flag those
-    verts[rb >= rc, 0] = np.nan
-    return verts, None
+    cols[0, rb >= rc] = np.nan
+    return cols.T, None
 
 
 def _folded_nearest(count: int, gen: np.random.Generator) -> np.ndarray:
-    """The origin's nearest process point folded to v > 0: squared radius
-    Exponential(pi), angle Uniform[0, 2pi), then v -> |v|."""
+    """Vertex rows with A and B at the origin and C the origin's nearest
+    process point folded to v > 0: squared radius Exponential(pi), angle
+    Uniform[0, 2pi), then v -> |v|.  Columns are contiguous."""
     radius = np.sqrt(gen.exponential(1.0 / math.pi, count))
     theta = gen.uniform(0.0, _TWO_PI, count)
-    return np.stack([radius * np.cos(theta), np.abs(radius * np.sin(theta))], axis=1)
+    cols = np.zeros((6, count))
+    cols[4] = radius * np.cos(theta)
+    cols[5] = np.abs(radius * np.sin(theta))
+    return cols.T
 
 
 def _attempt_staked(count: int, gen: np.random.Generator):
-    c_xy = _folded_nearest(count, gen)
-    verts = np.zeros((count, 6))
+    verts = _folded_nearest(count, gen)
     verts[:, 2] = 1.0
-    verts[:, 4:6] = c_xy
     return verts, None
 
 
 def _attempt_anchored(count: int, gen: np.random.Generator):
-    c_xy = _folded_nearest(count, gen)
-    verts = np.zeros((count, 6))
+    verts = _folded_nearest(count, gen)
     verts[:, 0] = -0.5
     verts[:, 2] = 0.5
-    verts[:, 4:6] = c_xy
     return verts, None
 
 
@@ -273,12 +290,12 @@ def _attempt_uniform_t(count: int, gen: np.random.Generator):
     with np.errstate(divide="ignore", invalid="ignore"):
         cx = np.cos(alpha) * np.sin(beta) / s
         cy = np.sin(alpha) * np.sin(beta) / s
-    verts = np.zeros((count, 6))
-    verts[:, 2] = 1.0
-    verts[:, 4] = cx
-    verts[:, 5] = cy
+    cols = np.zeros((6, count))
+    cols[2] = 1.0
+    cols[4] = cx
+    cols[5] = cy
     gamma = math.pi - alpha - beta
-    return verts, np.stack([alpha, beta, gamma], axis=1)
+    return cols.T, np.stack([alpha, beta, gamma], axis=1)
 
 
 _ATTEMPTS = {
@@ -348,10 +365,10 @@ def _attempt_oracle(count: int, gen: np.random.Generator):
         raise RuntimeError(
             f"no two neighbors within radius {ORACLE_RADII[-1]}: "
             "generator is producing implausible gaps")
-    verts = np.zeros((count, 6))
-    verts[:, 2:4] = best_xy[:, 0]
-    verts[:, 4:6] = best_xy[:, 1]
-    return verts, None
+    cols = np.zeros((6, count))
+    cols[2:4] = best_xy[:, 0].T
+    cols[4:6] = best_xy[:, 1].T
+    return cols.T, None
 
 
 def sample_pinned_oracle_batch(n: int, rng: RandomStream) -> SampleBatch:

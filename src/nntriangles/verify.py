@@ -52,6 +52,7 @@ from .gof import (
 )
 from .numerics import (
     CATALAN,
+    IntegralResult,
     QuadratureSpec,
     bessel_i0,
     erfc,
@@ -86,6 +87,13 @@ def _near(check: str, family: str, expected: float, actual: float,
     return CheckResult(check, family, float(expected), float(actual),
                        float(tolerance),
                        bool(abs(actual - expected) <= tolerance))
+
+
+def _near_quadrature(check: str, family: str, expected: float,
+                     result: IntegralResult, tolerance: float) -> CheckResult:
+    """``_near`` on a quadrature value; one that did not converge fails."""
+    row = _near(check, family, expected, result.value, tolerance)
+    return replace(row, passed=row.passed and bool(result.converged))
 
 
 def _flag(check: str, family: str, ok: bool) -> CheckResult:
@@ -297,9 +305,9 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
             continue
         q = moments.by_quadrature(target, tol=1e-8)
         quad_values[(target.family, target.quantity, target.statistic)] = q.value
-        rows.append(_near(
+        rows.append(_near_quadrature(
             f"table:{target.family}:{target.quantity}:{target.statistic}:quadrature",
-            target.family, closed, q.value, 1e-6))
+            target.family, closed, q, 1e-6))
 
     # --- Table 2/3 reference decimals ---------------------------------------
     ref_values: dict[moments.MomentTarget, float] = {}
@@ -307,10 +315,11 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
         ref = moments.reference_value(target)
         if ref is None or moments.closed_form(target) is not None:
             continue
-        ref_values[target] = moments.by_quadrature(target, tol=1e-8).value
-        rows.append(_near(
+        q = moments.by_quadrature(target, tol=1e-8)
+        ref_values[target] = q.value
+        rows.append(_near_quadrature(
             f"reference:{target.family}:{target.quantity}:{target.statistic}",
-            target.family, ref, ref_values[target], 1e-6))
+            target.family, ref, q, 1e-6))
 
     # --- two routes to E(ac) -------------------------------------------------
     eac = moments.expected_ac(tol=1e-7)

@@ -6,6 +6,7 @@ reachable through both ``pdf`` and ``plot``.
 """
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -18,7 +19,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from nntriangles import cli, density, verify
+from nntriangles import cli, density, moments, verify
 from nntriangles.density import CATALOG
 
 PI = math.pi
@@ -194,6 +195,51 @@ def test_pdf_grid_csv_streams_rows(tmp_path):
     assert peak < 40e6
 
 
+def _json_records_text(records):
+    return json.dumps(records, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["pdf", "--kind", "pinned_c", "--grid", "0:3:8193"], 8193),   # two blocks + 1
+    (["pdf", "--kind", "pinned_c", "--grid", "0:3:4096"], 4096),   # one full block
+    (["pdf", "--kind", "pinned_c", "--grid", "0:1:0"], 0),
+    (["pdf", "--kind", "uT_side_a", "--points", "0.1,1,inf,nan"], 4),
+    (["pdf", "--kind", "pair_ab", "--points", "0.7,0.9;1e300,1"], 2),
+])
+def test_pdf_json_streams_the_same_bytes(argv, count, tmp_path):
+    # the records are written a block at a time, byte for byte what
+    # json.dumps(records, indent=1) writes for the whole list
+    code, out, _ = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == count
+    assert out == _json_records_text(records)
+    # the same cells as the CSV rows
+    code, csv_out, _ = run_cli(argv)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    assert [[repr(float(r[c])) for c in header.split(",")] for r in records] == \
+        [[repr(float(v)) for v in line.split(",")] for line in lines]
+    target = tmp_path / "pdf.json"
+    assert cli.main([*argv, "--format", "json", "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_pdf_grid_json_streams_records(tmp_path):
+    # whole-document JSON peaks near 25 MB here; a block at a time, near 6 MB
+    target = tmp_path / "grid.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["pdf", "--kind", "pinned_c", "--grid", "0:1:30000",
+                         "--format", "json", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(target.read_text())) == 30_000
+    assert peak < 12e6
+
+
 @pytest.mark.parametrize("argv", [
     ["pdf", "--kind", "no_such_density", "--grid", "0:1:4"],
     ["pdf", "--kind", "pair_ab", "--grid", "0:1:4"],        # needs --points
@@ -248,6 +294,17 @@ def test_moments_staked_table():
     assert beta_row["mean_reference"] == pytest.approx(0.34306160)
     assert isinstance(beta_row["mean_quadrature"], float)
     assert beta_row["mean_square_verdict"] == "pass"
+
+
+def test_moments_json_is_one_json_dumps(tmp_path):
+    argv = ["moments", "--family", "anchored", "-n", "2000", "--tol", "1e-6",
+            "--format", "json"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert out == _json_records_text(json.loads(out))
+    target = tmp_path / "moments.json"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == out
 
 
 def test_moments_pinned_divergent_markers():
@@ -331,6 +388,21 @@ def test_verify_injected_failure():
     bad = [row for row in report["checks"] if not row["pass"]]
     assert [row["check"] for row in bad] == ["normalization:pinned_c"]
     assert "normalization:pinned_c" in err
+
+
+def test_unconverged_quadrature_fails_its_checks(monkeypatch):
+    original = moments.by_quadrature
+
+    def unconverged(target, tol=1e-8):
+        return dataclasses.replace(original(target, tol), converged=False)
+
+    monkeypatch.setattr(moments, "by_quadrature", unconverged)
+    rows = verify.run_suite(seed=2, mc_samples=1000, big_mc_samples=1000,
+                            ks_samples=1000)
+    quadrature = [r for r in rows if r.check.startswith("reference:")
+                  or r.check.startswith("table:") and r.check.endswith(":quadrature")]
+    assert len(quadrature) == 38
+    assert not any(r.passed for r in quadrature)
 
 
 def test_injection_hook_rejects_unknown_name():

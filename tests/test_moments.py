@@ -29,6 +29,7 @@ from nntriangles.moments import (
     targets,
     truncated_mean_square,
 )
+from nntriangles.numerics import IntegralResult
 from nntriangles.sampler import RandomStream, sample_batch
 
 PI = math.pi
@@ -229,6 +230,18 @@ def test_moment_report_reference_cell():
     assert report.closed is None
     assert report.reference == pytest.approx(0.49181215)
     assert report.verdict
+
+
+@pytest.mark.parametrize("target", [MomentTarget("pinned", "c", "mean"),
+                                    MomentTarget("pinned", "ca", "mean")])
+def test_unconverged_quadrature_is_never_agreement(target, monkeypatch):
+    # the exact value, flagged unconverged: only the flag can fail the cell
+    exact = closed_form(target)
+    exact = reference_value(target) if exact is None else exact
+    for converged in (True, False):
+        monkeypatch.setattr(moments, "by_quadrature", lambda t, tol=1e-8:
+                            IntegralResult(exact, 0.0, 1, converged))
+        assert moment_report(target, n=0).verdict is converged
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,181 @@ def test_batch_internal_consistency(family):
 
 
 # ---------------------------------------------------------------------------
+# reference route: the eager, row-major algorithm the sampler must match
+# bit for bit (draw, scatter every round, sides, angles from sides)
+# ---------------------------------------------------------------------------
+
+_ANGLES_FROM_SIDES = sampler._angles_from_sides
+
+
+def _ref_pinned(count, gen):
+    sq_near = gen.exponential(1.0 / PI, count)
+    sq_far = sq_near + gen.exponential(1.0 / PI, count)
+    theta_b = gen.uniform(0.0, 2.0 * PI, count)
+    theta_c = gen.uniform(0.0, 2.0 * PI, count)
+    rb, rc = np.sqrt(sq_near), np.sqrt(sq_far)
+    verts = np.zeros((count, 6))
+    verts[:, 2], verts[:, 3] = rb * np.cos(theta_b), rb * np.sin(theta_b)
+    verts[:, 4], verts[:, 5] = rc * np.cos(theta_c), rc * np.sin(theta_c)
+    verts[rb >= rc, 0] = np.nan
+    return verts, None
+
+
+def _ref_folded(ax, bx):
+    def attempt(count, gen):
+        radius = np.sqrt(gen.exponential(1.0 / PI, count))
+        theta = gen.uniform(0.0, 2.0 * PI, count)
+        verts = np.zeros((count, 6))
+        verts[:, 0], verts[:, 2] = ax, bx
+        verts[:, 4:6] = np.stack([radius * np.cos(theta),
+                                  np.abs(radius * np.sin(theta))], axis=1)
+        return verts, None
+    return attempt
+
+
+def _ref_uniform_t(count, gen):
+    phi = gen.uniform(0.0, PI, count)
+    psi = gen.uniform(0.0, PI, count)
+    fold = phi + psi >= PI
+    alpha = np.where(fold, PI - psi, phi)
+    beta = np.where(fold, PI - phi, psi)
+    s = np.sin(alpha + beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.cos(alpha) * np.sin(beta) / s
+        cy = np.sin(alpha) * np.sin(beta) / s
+    verts = np.zeros((count, 6))
+    verts[:, 2], verts[:, 4], verts[:, 5] = 1.0, cx, cy
+    return verts, np.stack([alpha, beta, PI - alpha - beta], axis=1)
+
+
+def _ref_oracle(count, gen):
+    # the oracle's neighbor search is shared; only its row-major packing is
+    # the reference's own
+    verts, _ = sampler._attempt_oracle(count, gen)
+    return np.ascontiguousarray(verts), None
+
+
+_REFERENCE_ATTEMPTS = {"pinned": _ref_pinned, "staked": _ref_folded(0.0, 1.0),
+                       "anchored": _ref_folded(-0.5, 0.5),
+                       "uniformT": _ref_uniform_t, "oracle": _ref_oracle}
+
+
+def _reference_fill(n, rng, attempt):
+    vertices, sides, angles = np.empty((n, 6)), np.empty((n, 3)), np.empty((n, 3))
+    pending = np.arange(n)
+    for _ in range(sampler.MAX_DRAW_ROUNDS):
+        if not pending.size:
+            break
+        verts, angs = attempt(pending.size, rng.generator)
+        ax, ay, bx, by, cx, cy = verts.T
+        sds = np.stack([np.hypot(bx - cx, by - cy), np.hypot(ax - cx, ay - cy),
+                        np.hypot(ax - bx, ay - by)], axis=1)
+        a, b, c = sds.T
+        slack = np.minimum(np.minimum(b + c - a, a + c - b), a + b - c)
+        good = (np.isfinite(verts).all(axis=1) & (sds > 0.0).all(axis=1)
+                & (slack > geom.DEGENERACY_TOL))
+        if angs is None:
+            angs = _ANGLES_FROM_SIDES(sds)
+        else:
+            good &= (angs > 0.0).all(axis=1) & (angs < PI).all(axis=1)
+        rows = pending[good]
+        vertices[rows], sides[rows], angles[rows] = verts[good], sds[good], angs[good]
+        rng.resamples += int(pending.size - rows.size)
+        pending = pending[~good]
+    assert not pending.size
+    return vertices, sides, angles
+
+
+def _sample(route, n, rng):
+    if route == "oracle":
+        return sample_pinned_oracle_batch(n, rng)
+    return sample_batch(route, n, rng)
+
+
+def _assert_matches_reference(batch, reference, family):
+    vertices, sides, angles = reference
+    assert batch.family == family and len(batch) == len(vertices)
+    assert np.array_equal(batch.vertices, vertices, equal_nan=True)
+    assert np.array_equal(batch.sides, sides, equal_nan=True)
+    assert np.array_equal(batch.angles, angles, equal_nan=True)
+    assert np.array_equal(batch.table(), np.hstack(reference), equal_nan=True)
+
+
+@pytest.mark.parametrize("route", [*FAMILIES, "oracle"])
+@pytest.mark.parametrize("seed, stream_id, n", [(0, 0, 0), (5, 0, 1), (2, 7, 2),
+                                                (11, 3, 999), (2**64 - 1, 9, 4097)])
+def test_sampler_matches_reference_route(route, seed, stream_id, n):
+    rng, ref_rng = RandomStream(seed, stream_id), RandomStream(seed, stream_id)
+    batch = _sample(route, n, rng)
+    reference = _reference_fill(n, ref_rng, _REFERENCE_ATTEMPTS[route])
+    _assert_matches_reference(batch, reference, "pinned" if route == "oracle" else route)
+    assert rng.resamples == ref_rng.resamples
+
+
+def _degenerate_first_round(attempt, rows):
+    """``attempt`` with ``rows`` of its first draw made non-finite."""
+    calls = []
+
+    def wrapped(count, gen):
+        verts, angs = attempt(count, gen)
+        if not calls:
+            verts[rows, 0] = np.nan
+        calls.append(count)
+        return verts, angs
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("route", [*FAMILIES, "oracle"])
+def test_forced_redraw_matches_reference_route(route, monkeypatch):
+    rows = [0, 3, 4, 38]
+    n = 40
+    ref_rng = RandomStream(23, 1)
+    ref_attempt, ref_calls = _degenerate_first_round(_REFERENCE_ATTEMPTS[route], rows)
+    reference = _reference_fill(n, ref_rng, ref_attempt)
+
+    name = "_attempt_oracle" if route == "oracle" else None
+    rng = RandomStream(23, 1)
+    if name is None:
+        attempt, calls = _degenerate_first_round(sampler._ATTEMPTS[route], rows)
+        monkeypatch.setitem(sampler._ATTEMPTS, route, attempt)
+    else:
+        attempt, calls = _degenerate_first_round(sampler._attempt_oracle, rows)
+        monkeypatch.setattr(sampler, name, attempt)
+    batch = _sample(route, n, rng)
+    _assert_matches_reference(batch, reference, "pinned" if route == "oracle" else route)
+    assert calls == ref_calls and calls[:2] == [n, len(rows)]
+    assert rng.resamples == ref_rng.resamples == len(rows)
+
+
+def test_angles_computed_once_and_only_when_read(monkeypatch):
+    calls = []
+
+    def counted(sides):
+        calls.append(len(sides))
+        return _ANGLES_FROM_SIDES(sides)
+
+    monkeypatch.setattr(sampler, "_angles_from_sides", counted)
+    batch = sample_batch("pinned", 300, RandomStream(4))
+    for name in ("a", "b_over_c", "max_side", "area"):
+        batch.statistic(name)
+    sample_pinned_oracle_batch(50, RandomStream(4))
+    assert calls == []
+    first = batch.angles
+    assert batch.angles is first and batch.statistic("alpha").base is first
+    assert calls == [300]
+    # uniformT keeps the angles it drew: they are part of its validity test
+    sample_batch("uniformT", 300, RandomStream(4)).angles
+    assert calls == [300]
+
+
+def test_sample_batch_returns_given_angles():
+    vertices, sides, angles = np.zeros((2, 6)), np.ones((2, 3)), np.full((2, 3), PI / 3)
+    batch = SampleBatch("staked", vertices, sides, angles)
+    assert batch.angles is angles
+    assert batch.vertices is vertices and batch.sides is sides
+
+
+# ---------------------------------------------------------------------------
 # family-specific distributional laws
 # ---------------------------------------------------------------------------
 
