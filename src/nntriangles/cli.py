@@ -23,6 +23,7 @@ evaluate exactly where asked and flag infinite values as ``inf``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from . import verify as verification
 from ._svg import freedman_diaconis_bins, render_density_plot
 from .density import CATALOG
 from .gof import quantile
-from .sampler import (_ROW_BLOCK, CSV_HEADER, FAMILIES, RandomStream, sample_batch,
+from .sampler import (CSV_HEADER, FAMILIES, ROW_BLOCK, RandomStream, sample_batch,
                       write_rows)
 
 __all__ = ["RunConfig", "PlotSpec", "main"]
@@ -171,38 +172,37 @@ def _records(columns: list[str], rows) -> list[dict]:
     return [dict(zip(columns, row)) for row in rows]
 
 
-def _write_records(destination, columns: list[str], rows) -> None:
+def _opened(out: str | None):
+    """A context giving the output stream: stdout, or the file ``out``."""
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
+
+
+def _write_records(stream, columns: list[str], rows) -> None:
     """``json.dumps(records, indent=1) + "\\n"`` of the rows as column-keyed
-    records, the same bytes written ``_ROW_BLOCK`` records at a time, to a
-    path or an open text stream."""
-    if not hasattr(destination, "write"):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_records(handle, columns, rows)
-        return
+    records, the same bytes written ``ROW_BLOCK`` records at a time."""
     separator = "[\n"
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = json.dumps(_records(columns, rows[start:start + _ROW_BLOCK]), indent=1)
-        destination.write(separator + block[2:-2])
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = json.dumps(_records(columns, rows[start:start + ROW_BLOCK]), indent=1)
+        stream.write(separator + block[2:-2])
         separator = ",\n"
-    destination.write("\n]\n" if len(rows) else "[]\n")
+    stream.write("\n]\n" if len(rows) else "[]\n")
 
 
 def _write_table(columns: list[str], rows, cfg: RunConfig) -> None:
     """Rows of cells in column order as CSV (cells print by ``str``) or JSON records."""
-    destination = sys.stdout if cfg.out is None else cfg.out
-    if cfg.fmt == "json":
-        _write_records(destination, columns, rows)
-        return
-    write_rows(destination, ",".join(columns), ",".join(["%s"] * len(columns)),
-               np.asarray(rows, dtype=object))
+    with _opened(cfg.out) as stream:
+        if cfg.fmt == "json":
+            _write_records(stream, columns, rows)
+        else:
+            write_rows(stream, ",".join(columns), ",".join(["%s"] * len(columns)),
+                       np.asarray(rows, dtype=object))
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    with _opened(out) as stream:
+        stream.write(text)
 
 
 # ---------------------------------------------------------------------------

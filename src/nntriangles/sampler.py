@@ -84,7 +84,7 @@ class RandomStream:
 CSV_HEADER = "family,ax,ay,bx,by,cx,cy,a,b,c,alpha,beta,gamma"
 
 # Rows per write: amortizes the format call, keeps a block's text near a megabyte.
-_ROW_BLOCK = 4096
+ROW_BLOCK = 4096
 
 
 def write_rows(destination, header: str, row_format: str, rows: np.ndarray) -> None:
@@ -97,8 +97,8 @@ def write_rows(destination, header: str, row_format: str, rows: np.ndarray) -> N
         return
     line = row_format + "\n"
     destination.write(header + "\n")
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
         destination.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -201,41 +201,34 @@ def _fill_batch(family: str, n: int, rng: RandomStream, attempt) -> SampleBatch:
 
     ``attempt(count, generator)`` returns (vertices, angles-or-None); when
     angles is None the batch computes them from the sides on first read.
-    A first round that keeps every row is the batch as drawn; otherwise
-    kept rows are scattered into place round by round.  Raises
-    RuntimeError if rows are still degenerate after MAX_DRAW_ROUNDS rounds.
+    The first round's arrays are the batch; each later round overwrites
+    the rows still pending.  Raises RuntimeError if rows are still
+    degenerate after MAX_DRAW_ROUNDS rounds.
     """
     if n < 0:
         raise ValueError(f"sample count must be nonnegative: {n}")
-    vertices = sides = angles = None
     pending = np.arange(n)
-    for _ in range(MAX_DRAW_ROUNDS):
-        if not pending.size:
-            break
+    for draw_round in range(MAX_DRAW_ROUNDS):
         verts, angs = attempt(pending.size, rng.generator)
         sds = _sides_from_vertices(verts)
         good = _valid_rows(verts, sds)
         if angs is not None:
             good &= (angs > 0.0).all(axis=1) & (angs < math.pi).all(axis=1)
-        if vertices is None:
-            if good.all():
-                return SampleBatch(family, verts, sds, angs)
-            vertices, sides = np.empty((n, 6)), np.empty((n, 3))
-            angles = None if angs is None else np.empty((n, 3))
-        rows = pending[good]
-        vertices[rows] = verts[good]
-        sides[rows] = sds[good]
-        if angles is not None:
-            angles[rows] = angs[good]
-        rng.resamples += int(pending.size - rows.size)
+        if not draw_round:
+            vertices, sides, angles = verts, sds, angs
+        else:
+            rows = pending[good]
+            vertices[rows] = verts[good]
+            sides[rows] = sds[good]
+            if angles is not None:
+                angles[rows] = angs[good]
         pending = pending[~good]
-    if pending.size:
-        raise RuntimeError(
-            f"{family} sampler: {pending.size} rows still degenerate after "
-            f"{MAX_DRAW_ROUNDS} draw rounds")
-    if vertices is None:
-        return SampleBatch(family, np.empty((0, 6)), np.empty((0, 3)))
-    return SampleBatch(family, vertices, sides, angles)
+        rng.resamples += int(pending.size)
+        if not pending.size:
+            return SampleBatch(family, vertices, sides, angles)
+    raise RuntimeError(
+        f"{family} sampler: {pending.size} rows still degenerate after "
+        f"{MAX_DRAW_ROUNDS} draw rounds")
 
 
 def _attempt_pinned(count: int, gen: np.random.Generator):
@@ -345,8 +338,7 @@ def _attempt_oracle(count: int, gen: np.random.Generator):
         sq_pad = np.full((active.size, width), np.inf)
         xy_pad = np.zeros((active.size, width, 2))
         row_idx = np.repeat(np.arange(active.size), counts)
-        col_idx = np.arange(row_idx.size) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts[:-1]))), counts)
+        col_idx = np.arange(row_idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
         sq_pad[row_idx, col_idx] = xs * xs + ys * ys
         xy_pad[row_idx, col_idx, 0] = xs
         xy_pad[row_idx, col_idx, 1] = ys

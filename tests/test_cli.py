@@ -249,6 +249,8 @@ def test_pdf_grid_json_streams_records(tmp_path):
     ["pdf", "--kind", "pair_ab", "--points", "1.0"],        # wrong arity
     ["pdf", "--kind", "pair_ab", "--points", "1.0,2.0,3.0"],
     ["pdf", "--kind", "pinned_c", "--grid", "0:1:100000000000"],  # above the limit
+    ["pdf", "--kind", "pinned_c", "--grid=-inf:0:4"],       # infinite span
+    ["pdf", "--kind", "pinned_c", "--grid=-1e308:1e308:4"],
 ])
 def test_pdf_usage_errors(argv):
     code, _, err = run_cli(argv)

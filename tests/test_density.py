@@ -131,11 +131,13 @@ HUGE = (1e103, 1e155, 1e300, 1.7e308)
 def test_huge_coordinates_give_zero_without_warnings(tag):
     # polynomial factors overflow long before the density's exp(-pi b^2) or
     # power-law decay lets go, which once gave inf * 0 = NaN and warnings
+    # (-1e308, -1e308) once overflowed alpha + beta in the angle joints
     arity = CATALOG[tag].arity
-    points = [(h,) * arity for h in (*HUGE, math.inf)]
+    extremes = [sign * h for h in (*HUGE, math.inf) for sign in (1.0, -1.0)]
+    points = [(h,) * arity for h in extremes]
     if arity > 1:  # one coordinate huge, or all but one
         points += [tuple(h if (j == i) == alone else 1.0 for j in range(arity))
-                   for h in (*HUGE, math.inf) for i in range(arity)
+                   for h in extremes for i in range(arity)
                    for alone in (True, False)]
     values = [CATALOG[tag].pdf(*point) for point in points]
     # the slowest tails decay like x^-2, 4e-207 at 1e103

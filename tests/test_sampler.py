@@ -207,6 +207,8 @@ def test_sampler_matches_reference_route(route, seed, stream_id, n):
     reference = _reference_fill(n, ref_rng, _REFERENCE_ATTEMPTS[route])
     _assert_matches_reference(batch, reference, "pinned" if route == "oracle" else route)
     assert rng.resamples == ref_rng.resamples
+    # the streams are left in the same state, n = 0 included
+    assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
 
 def _degenerate_first_round(attempt, rows):
@@ -357,7 +359,7 @@ def test_statistic_names_and_values():
 def test_write_csv_round_trip():
     # one full block of rows plus one, against the per-cell rendering
     for family in FAMILIES:
-        batch = sample_batch(family, sampler._ROW_BLOCK + 1, RandomStream(17))
+        batch = sample_batch(family, sampler.ROW_BLOCK + 1, RandomStream(17))
         buf = io.StringIO()
         batch.write_csv(buf)
         table = np.hstack([batch.vertices, batch.sides, batch.angles])
