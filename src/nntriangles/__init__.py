@@ -19,8 +19,7 @@ tables, plots, and the deterministic verification suite.
 """
 
 from .density import CATALOG, DensityKind
-from .geom import (Triangle, TriangleAngles, angles_from_sides, area,
-                   heron_product, sides_from_angles)
+from .geom import angles_from_sides, heron_product
 from .gof import (EmpiricalSample, GofReport, cdf_from_pdf, chi_square_region,
                   ks_one_sample, ks_two_sample, quantile)
 from .moments import (EXPECTED_AC, MomentReport, MomentTarget, acuteness,
@@ -36,8 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG", "DensityKind",
-    "Triangle", "TriangleAngles", "angles_from_sides", "area",
-    "heron_product", "sides_from_angles",
+    "angles_from_sides", "heron_product",
     "EmpiricalSample", "GofReport", "cdf_from_pdf", "chi_square_region",
     "ks_one_sample", "ks_two_sample", "quantile",
     "EXPECTED_AC", "MomentReport", "MomentTarget", "acuteness",

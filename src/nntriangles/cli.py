@@ -214,7 +214,8 @@ def cmd_sample(cfg: RunConfig, family: str) -> int:
         raise UsageError(f"unknown family {family!r}; choose from {FAMILIES}")
     batch = sample_batch(family, cfg.n, RandomStream(cfg.seed, 0))
     if cfg.fmt == "csv":
-        batch.write_csv(sys.stdout if cfg.out is None else cfg.out)
+        with _opened(cfg.out) as stream:
+            batch.write_csv(stream)
         return 0
     rows = [[family, *row] for row in batch.table().tolist()]
     _emit(json.dumps({"columns": CSV_HEADER.split(","), "rows": rows}, indent=1) + "\n",
@@ -419,8 +420,15 @@ def _config(args: argparse.Namespace, default_fmt: str = "csv") -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value starting with "-" after a space as an option, so
+    # each --grid/--points value is joined to its flag: "--grid=-1:1:4"
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--grid", "--points"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     try:
         if args.command == "sample":
             return cmd_sample(_config(args), args.family)

@@ -95,7 +95,9 @@ def pdf_pinned_sides_joint(x, y, z):
     x = y +- z while y < 16 (exp(-pi y^2) is 0 from there), zero elsewhere.
     With x > 0 and 0 < z < y at most one factor of D is negative, so the
     sign of D alone tells the interior (> 0) from the boundary (== 0) and
-    the outside (< 0).
+    the outside (< 0) -- until D underflows to 0, where every side, or a
+    needle's two short factors, fall below about 1e-77.  There the factors'
+    own signs decide, and inside the density is summed in logarithms.
     """
     (X, Y, Z), out, scalar = _broadcast(x, y, z)
     closure = (X > 0.0) & (Z > 0.0) & (Y > Z) & (Y < _GAUSS_ZERO_FROM)
@@ -103,6 +105,13 @@ def pdf_pinned_sides_joint(x, y, z):
     with np.errstate(over="ignore"):  # huge or infinite a
         d = heron_product(a, b, c)
     vals = np.where(d < 0.0, 0.0, math.inf)
+    zero = d == 0.0
+    if zero.any():
+        a0, b0, c0 = a[zero], b[zero], c[zero]
+        f = np.stack([a0 + b0 + c0, -a0 + b0 + c0, a0 - b0 + c0, a0 + b0 - c0])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a factor <= 0
+            logs = np.log([a0, b0, c0]).sum(axis=0) - 0.5 * np.log(f).sum(axis=0)
+        vals[zero] = np.where((f < 0.0).any(axis=0), 0.0, 8.0 * _PI * np.exp(logs - _PI * b0 * b0))
     inside = d > 0.0
     a, b, c = a[inside], b[inside], c[inside]
     vals[inside] = 8.0 * _PI * a * b * c * np.exp(-_PI * b * b) / np.sqrt(d[inside])
@@ -390,7 +399,14 @@ def pdf_staked_angles_joint(alpha, beta):
     if m.any():
         a, b = A[m], B[m]
         s = np.sin(a + b)
-        out[m] = 2.0 * np.exp(-_PI * np.sin(b) ** 2 / (s * s)) * np.sin(a) * np.sin(b) / s ** 3
+        # s^3 underflows to 0 below a + b ~ 1e-108; there the density, near
+        # 1/s, is taken through q = sin(a)/s and r = sin(b)/s
+        t = s ** 3 == 0.0
+        q, r = np.sin(a[t]) / s[t], np.sin(b[t]) / s[t]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = 2.0 * np.exp(-_PI * np.sin(b) ** 2 / (s * s)) * np.sin(a) * np.sin(b) / s ** 3
+            vals[t] = 2.0 * np.exp(-_PI * r * r) * q * r / s[t]
+        out[m] = vals
     return _finish(out, scalar)
 
 
@@ -405,9 +421,15 @@ def pdf_anchored_angles_joint(alpha, beta):
     m = (A > 0.0) & (B > 0.0) & (np.clip(A, 0.0, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
-        s2 = np.sin(a + b) ** 2
-        expo = (np.sin(a - b) ** 2 + 4.0 * np.sin(a) ** 2 * np.sin(b) ** 2) / s2
-        out[m] = 2.0 * np.exp(-0.25 * _PI * expo) * np.sin(a) * np.sin(b) / (s2 * np.sin(a + b))
+        s = np.sin(a + b)
+        s2 = s ** 2
+        t = s2 * s == 0.0  # as in pdf_staked_angles_joint
+        q, r, d = (np.sin(v[t]) / s[t] for v in (a, b, a - b))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            expo = (np.sin(a - b) ** 2 + 4.0 * np.sin(a) ** 2 * np.sin(b) ** 2) / s2
+            vals = 2.0 * np.exp(-0.25 * _PI * expo) * np.sin(a) * np.sin(b) / (s2 * s)
+            vals[t] = 2.0 * np.exp(-0.25 * _PI * (d * d + 4.0 * (q * r * s[t]) ** 2)) * q * r / s[t]
+        out[m] = vals
     return _finish(out, scalar)
 
 

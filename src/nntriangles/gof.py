@@ -30,12 +30,12 @@ from .numerics import (
     GL16_NODES,
     GL16_WEIGHTS,
     MonotoneCubic,
-    QuadratureSpec,
     fixed_panel_integrals,
     gaussian_tail_cutoff,
-    integrate_1d,
     weighted_sums,
 )
+# integrate_1d stays bound here for the benchmark's tracer (perfbench/tracing.py).
+from .numerics import integrate_1d  # noqa: F401
 from .sampler import FAMILIES, RandomStream, SampleBatch, sample_batch
 
 __all__ = [
@@ -238,24 +238,10 @@ def _grid(kind: DensityKind) -> _CdfGrid:
     return grid
 
 
-_GRID_TOL = 1e-6
-
-
-def cdf_from_pdf(kind, x, tol: float = _GRID_TOL):
-    """Distribution function of a univariate catalog density at ``x``.
-
-    Tolerances down to ``1e-6`` are served from a cached grid (fast,
-    vectorized); tighter requests integrate the density directly per point.
-    """
-    kind = _resolve_kind(kind)
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive: {tol}")
-    if tol >= _GRID_TOL:
-        return _grid(kind)(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_cdf_direct(kind, float(v), tol) for v in xs])
-    return float(out[0]) if np.ndim(x) == 0 else out
+def cdf_from_pdf(kind, x):
+    """Distribution function of a univariate catalog density at ``x``, from
+    the kind's cached grid (vectorized)."""
+    return _grid(_resolve_kind(kind))(x)
 
 
 def quantile(kind, p: float) -> float:
@@ -290,20 +276,19 @@ def _truncation_point(kind: DensityKind, tol: float) -> float:
     return t
 
 
-def quadrature_pieces(kind: DensityKind, tol: float,
-                      x: float = math.inf) -> list[tuple[float, float, str]]:
+def quadrature_pieces(kind: DensityKind, tol: float) -> list[tuple[float, float, str]]:
     """Pieces (a, b, singularity mode) for integrating a univariate kind
-    from its lower support end up to x.
+    over its support.
 
-    The range ends at x or at the support's upper end, whichever is lower;
-    an infinite tail is cut where all but < tol/10 of the mass lies below.
-    It is split at the kind's singular points and breakpoints, and each
-    piece gets the endpoint-singularity mode its singular ends need.
+    An infinite tail is cut where all but < tol/10 of the mass lies below.
+    The range is split at the kind's singular points and breakpoints, and
+    each piece gets the endpoint-singularity mode its singular ends need.
     """
     lo, hi = kind.support[0]
-    x = min(x, hi if kind.tail == "finite" else _truncation_point(kind, tol))
-    cuts = sorted({lo, x, *(p for p in (*kind.singular_points, *kind.breakpoints)
-                            if lo < p < x)})
+    if kind.tail != "finite":
+        hi = _truncation_point(kind, tol)
+    cuts = sorted({lo, hi, *(p for p in (*kind.singular_points, *kind.breakpoints)
+                             if lo < p < hi)})
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         touch_lo = any(math.isclose(a, s) for s in kind.singular_points)
@@ -312,18 +297,6 @@ def quadrature_pieces(kind: DensityKind, tol: float,
                 (False, True): "right", (True, True): "both"}[(touch_lo, touch_hi)]
         pieces.append((a, b, mode))
     return pieces
-
-
-def _cdf_direct(kind: DensityKind, x: float, tol: float) -> float:
-    if x <= kind.support[0][0]:
-        return 0.0
-    pieces = quadrature_pieces(kind, tol, x)
-    total = 0.0
-    for a, b, mode in pieces:
-        spec = QuadratureSpec(abs_tol=0.05 * tol / len(pieces),
-                              rel_tol=0.5 * tol, singularity=mode)
-        total += integrate_1d(kind.pdf, a, b, spec).value
-    return min(total, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +310,7 @@ def ks_one_sample(sample: EmpiricalSample, kind, alpha: float = 0.001) -> GofRep
     n = sample.n
     if n < 100:
         raise ValueError(f"one-sample test needs n >= 100, got {n}")
-    cdf = _grid(kind)(sample.values)
+    cdf = cdf_from_pdf(kind, sample.values)
     steps = np.arange(1, n + 1, dtype=float) / n
     statistic = max(float(np.max(steps - cdf)),
                     float(np.max(cdf - steps + 1.0 / n)))

@@ -413,11 +413,8 @@ def correlation_ab() -> float:
                                    / ((-64.0 + 27.0 * _PI) * _PI))
 
 
-def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10,
-              n: int = 10**6, rng: RandomStream | None = None,
-              workers: int = 1) -> float:
-    """P(triangle is acute) by closed form, quadrature, or Monte Carlo
-    (:func:`batch_means` over n draws on ``workers`` threads)."""
+def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10) -> float:
+    """P(triangle is acute) by closed form or by quadrature of the angle joint."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if method == "closed":
@@ -430,14 +427,7 @@ def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10,
         r = integrate_2d(joint, 0.0, half,
                          lambda x: (half - x, np.full_like(x, half)), spec)
         return r.value
-    if method == "mc":
-        rng = rng if rng is not None else RandomStream(0)
-
-        def acute_fraction(batch) -> float:
-            return (batch.angles.max(axis=1) < _PI / 2.0).mean()
-
-        return batch_means(family, n, rng, {"acute": acute_fraction}, workers)["acute"].value
-    raise ValueError(f"method must be closed|quadrature|mc: {method!r}")
+    raise ValueError(f"method must be closed|quadrature: {method!r}")
 
 
 def moment_report(target: MomentTarget, tol: float = 1e-8, n: int = 10**5,

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .geom import DEGENERACY_TOL, heron_product
+from .geom import DEGENERACY_TOL, angles_from_sides, heron_product
 
 _TWO_PI = 2.0 * math.pi
 _U64_MAX = 2**64 - 1
@@ -90,11 +90,7 @@ ROW_BLOCK = 4096
 def write_rows(destination, header: str, row_format: str, rows: np.ndarray) -> None:
     """Write ``header``, then one ``row_format % tuple(row)`` line per row of
     the 2-D array ``rows`` (cells become Python objects first, so ``%s``
-    prints a float as its ``repr``), to a path or an open text stream."""
-    if not hasattr(destination, "write"):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            write_rows(handle, header, row_format, rows)
-        return
+    prints a float as its ``repr``), to an open text stream."""
     line = row_format + "\n"
     destination.write(header + "\n")
     for start in range(0, len(rows), ROW_BLOCK):
@@ -129,7 +125,7 @@ class SampleBatch:
     @property
     def angles(self) -> np.ndarray:
         if self._angles is None:
-            self._angles = _angles_from_sides(self.sides)
+            self._angles = angles_from_sides(self.sides)
         return self._angles
 
     def __len__(self) -> int:
@@ -166,7 +162,7 @@ class SampleBatch:
         return np.hstack([self.vertices, self.sides, self.angles])
 
     def write_csv(self, destination) -> None:
-        """Write all rows in the CSV schema, 17 significant digits."""
+        """Write all rows in the CSV schema, 17 significant digits, to a text stream."""
         write_rows(destination, CSV_HEADER, self.family + ",%.17g" * 12, self.table())
 
 
@@ -177,16 +173,6 @@ def _sides_from_vertices(vertices: np.ndarray) -> np.ndarray:
     np.hypot(ax - cx, ay - cy, out=sides[1])
     np.hypot(ax - bx, ay - by, out=sides[2])
     return sides.T
-
-
-def _angles_from_sides(sides: np.ndarray) -> np.ndarray:
-    """Interior angles via atan2(4*area, law-of-cosines numerator), which
-    stays accurate for needle-thin triangles."""
-    a, b, c = sides.T
-    root = np.sqrt(np.maximum(heron_product(a, b, c), 0.0))
-    return np.stack([np.arctan2(root, b * b + c * c - a * a),
-                     np.arctan2(root, a * a + c * c - b * b),
-                     np.arctan2(root, a * a + b * b - c * c)], axis=1)
 
 
 def _valid_rows(vertices: np.ndarray, sides: np.ndarray) -> np.ndarray:

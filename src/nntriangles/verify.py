@@ -40,7 +40,7 @@ from .density import (
     pdf_uT_side_a,
     pdf_uT_sides_joint,
 )
-from .geom import Triangle, angles_from_sides, area, sides_from_angles
+from .geom import angles_from_sides, heron_product
 from .gof import (
     KS_MATRIX,
     EmpiricalSample,
@@ -235,15 +235,16 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
     rows: list[CheckResult] = []
 
     # --- geometry sanity ---------------------------------------------------
-    right = angles_from_sides(Triangle(5.0, 4.0, 3.0))
+    right = angles_from_sides(np.array([[5.0, 4.0, 3.0]]))
     rows.append(_near("geometry:right-angle-3-4-5", "pinned", 0.5 * _PI,
-                      right.alpha, 1e-12))
+                      right[0, 0], 1e-12))
     rows.append(_near("geometry:area-3-4-5", "pinned", 6.0,
-                      area(Triangle(5.0, 4.0, 3.0)), 1e-12))
-    tri = sides_from_angles(0.7, 1.1)
-    back = angles_from_sides(tri)
+                      math.sqrt(heron_product(5.0, 4.0, 3.0)) / 4.0, 1e-12))
+    # unit base, base angles 0.7 and 1.1, other sides by the law of sines
+    s = math.sin(0.7 + 1.1)
+    back = angles_from_sides(np.array([[math.sin(0.7) / s, math.sin(1.1) / s, 1.0]]))
     rows.append(_near("geometry:angle-side-round-trip", "pinned", 0.7,
-                      back.alpha, 1e-12))
+                      back[0, 0], 1e-12))
 
     # --- special functions against independent integral forms --------------
     spec10 = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)

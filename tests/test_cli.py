@@ -205,6 +205,10 @@ def _json_records_text(records):
     (["pdf", "--kind", "pinned_c", "--grid", "0:1:0"], 0),
     (["pdf", "--kind", "uT_side_a", "--points", "0.1,1,inf,nan"], 4),
     (["pdf", "--kind", "pair_ab", "--points", "0.7,0.9;1e300,1"], 2),
+    # negative values after a space, which argparse alone reads as options
+    (["pdf", "--kind", "pinned_c", "--grid", "-1:1:4"], 4),
+    (["pdf", "--kind", "pair_ab", "--points", "-1,2"], 1),
+    (["pdf", "--kind", "pinned_c", "--points", "-inf"], 1),
 ])
 def test_pdf_json_streams_the_same_bytes(argv, count, tmp_path):
     # the records are written a block at a time, byte for byte what
@@ -223,6 +227,9 @@ def test_pdf_json_streams_the_same_bytes(argv, count, tmp_path):
     target = tmp_path / "pdf.json"
     assert cli.main([*argv, "--format", "json", "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out
+    # the value after a space reads as it does joined to its flag by "="
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run_cli(joined) == (0, csv_out, "")
 
 
 def test_pdf_grid_json_streams_records(tmp_path):

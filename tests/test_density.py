@@ -11,6 +11,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nntriangles import density, gof
 from nntriangles.density import CATALOG
@@ -145,6 +147,52 @@ def test_huge_coordinates_give_zero_without_warnings(tag):
     np.testing.assert_array_equal(CATALOG[tag].pdf(*np.array(points).T), values)
 
 
+# Coordinates of every size: any float (NaN, infinities, subnormals, 1e308),
+# signed magnitudes 1e-320 to 1e308, and ordinary points scaled down
+# together (tiny triangles, whose products underflow).
+_COORDINATE = st.one_of(
+    st.floats(),
+    st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.floats(1.0, 9.99), st.integers(-320, 307)),
+    st.floats(-1.0, 20.0),
+)
+
+
+@st.composite
+def _points(draw, arity):
+    if arity > 1 and draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-320, -80))
+        return [draw(st.floats(0.1, 4.0)) * scale for _ in range(arity)]
+    return [draw(_COORDINATE) for _ in range(arity)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", sorted(CATALOG))
+def test_density_contract_at_any_point(tag):
+    """NaN in gives NaN out; otherwise the value is finite and >= 0, or inf,
+    and 0 outside the declared support; no RuntimeWarning."""
+    kind = CATALOG[tag]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(point=_points(kind.arity))
+    def check(point):
+        try:
+            value = kind.pdf(*point)
+        except density.QuadratureError:
+            # pdf_pair_ac's documented outcome where its inner integral
+            # cannot meet the tolerance
+            assert tag == "pair_ac_integral"
+            return
+        if any(math.isnan(x) for x in point):
+            assert math.isnan(value), point
+            return
+        assert value == math.inf or (math.isfinite(value) and value >= 0.0), (point, value)
+        if not all(lo < x < hi for x, (lo, hi) in zip(point, kind.support)):
+            assert value == 0.0, (point, value)
+
+    check()
+
+
 def test_joint_support_conditions():
     # trivariate: requires 0 < c < b and |b - c| < a < b + c
     j = density.pdf_pinned_sides_joint
@@ -161,6 +209,13 @@ def test_joint_support_conditions():
     assert density.pdf_staked_angles_joint(2.0, 2.0) == 0.0
     assert density.pdf_anchored_angles_joint(1.8, 1.5) == 0.0
     assert density.pdf_staked_angles_joint(0.4, 0.8) > 0.0
+    # near the base the joints grow like 1/(alpha + beta) and stay finite
+    # (sin(alpha + beta)^3 underflows to 0 below alpha + beta ~ 1e-108)
+    for eps in (1e-160, 1e-200):
+        assert density.pdf_staked_angles_joint(eps, eps) == pytest.approx(
+            math.exp(-PI / 4.0) / (4.0 * eps), rel=1e-14)
+        assert density.pdf_anchored_angles_joint(eps, eps) == pytest.approx(
+            1.0 / (4.0 * eps), rel=1e-14)
     # side pairs
     assert density.pdf_pair_ab(2.1, 1.0) == 0.0   # a >= 2b impossible
     assert density.pdf_pair_bc(0.5, 0.6) == 0.0   # c >= b impossible
@@ -183,6 +238,15 @@ def test_divergent_boundary_points_return_inf():
     # density tends to 4 pi exp(-pi) as c -> 0 along a = b
     assert density.pdf_pinned_sides_joint(1.0, 1.0, 1e-17) == pytest.approx(
         4.0 * PI * math.exp(-PI), rel=1e-15)
+    # tiny sides underflow the Heron product to 0, which once read as the
+    # boundary: inside, the density scales with the sides; outside it is 0;
+    # on the boundary (dyadic, so exact at any scale) it stays inf
+    assert density.pdf_pinned_sides_joint(3e-100, 2e-100, 1.5e-100) == pytest.approx(
+        1e-100 * 72.0 * PI / math.sqrt(6.5 * 0.5 * 2.5 * 3.5), rel=1e-13)
+    assert density.pdf_pinned_sides_joint(5.0e-181, 1.9e-194, 1.5e-286) == 0.0
+    assert density.pdf_pinned_sides_joint(1.0, 1.0, 1e-200) == pytest.approx(
+        4.0 * PI * math.exp(-PI), rel=1e-12)
+    assert density.pdf_pinned_sides_joint(*(2.0**-700 * np.array([2.0, 1.25, 0.75]))) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +274,7 @@ def test_light_normalization():
     assert r.converged and r.value == pytest.approx(1.0, abs=1e-11)
     r = integrate_1d(density.pdf_pinned_gamma, 0.0, 0.5 * PI, spec)
     assert r.converged and r.value == pytest.approx(1.0, abs=1e-11)
-    gspec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12,
-                           gaussian_decay_scale=PI, gaussian_decay_degree=1)
-    r = integrate_1d(density.pdf_pinned_c, 0.0, math.inf, gspec)
+    r = integrate_1d(density.pdf_pinned_c, 0.0, math.inf, spec)
     assert r.converged and r.value == pytest.approx(1.0, abs=1e-11)
 
 

@@ -103,8 +103,6 @@ def test_cdf_matches_closed_form():
     xs = np.linspace(0.05, 2.0, 23)
     exact = 1.0 - np.exp(-PI * xs**2)
     np.testing.assert_allclose(cdf_from_pdf("pinned_c", xs), exact, atol=2e-6)
-    direct = cdf_from_pdf("pinned_c", xs[::4], tol=1e-8)
-    np.testing.assert_allclose(direct, exact[::4], atol=1e-7)
 
 
 def test_cdf_is_a_distribution_function():
@@ -141,7 +139,7 @@ def test_closed_form_angle_grids_hold_unit_mass(tag):
     assert abs(gof._grid(CATALOG[tag]).total - 1.0) <= 1e-13
 
 
-def test_integral_form_grid_memory_stays_bounded():
+def test_cdf_grid_memory_stays_bounded():
     tracemalloc.start()
     try:
         gof._CdfGrid(CATALOG["anchored_alpha"])
@@ -154,8 +152,6 @@ def test_integral_form_grid_memory_stays_bounded():
 def test_cdf_rejects_bad_arguments():
     with pytest.raises(KeyError):
         cdf_from_pdf("no_such_tag", 0.5)
-    with pytest.raises(ValueError):
-        cdf_from_pdf("pinned_c", 0.5, tol=0.0)
     with pytest.raises(ValueError):
         cdf_from_pdf("pair_ab", 0.5)  # bivariate kinds have no scalar cdf
 
@@ -313,7 +309,7 @@ def test_ks_matrix_covers_all_sampled_univariate_laws():
         assert isinstance(statistic, str)
 
 
-def test_run_ks_matrix_light():
+def test_ks_battery_light():
     reports = ks_battery(3000, 2, [tag for tag, _, _ in KS_MATRIX], alpha=0.001)[1]
     assert len(reports) == 17
     assert all(r.verdict for r in reports)

@@ -262,13 +262,6 @@ def test_acuteness_quadrature_matches_closed():
         assert q == pytest.approx(ACUTENESS_CLOSED[family], abs=1e-8)
 
 
-def test_acuteness_monte_carlo():
-    mc = moments.acuteness("pinned", "mc", n=20000, rng=RandomStream(3, 800))
-    assert mc == pytest.approx(0.25, abs=0.02)
-    assert moments.acuteness("pinned", "mc", n=20000, rng=RandomStream(3, 800),
-                             workers=2) == mc
-
-
 def test_acuteness_rejects_bad_arguments():
     with pytest.raises(ValueError):
         moments.acuteness("uniformT")

@@ -102,7 +102,7 @@ def test_batch_internal_consistency(family):
 # bit for bit (draw, scatter every round, sides, angles from sides)
 # ---------------------------------------------------------------------------
 
-_ANGLES_FROM_SIDES = sampler._angles_from_sides
+_ANGLES_FROM_SIDES = sampler.angles_from_sides
 
 
 def _ref_pinned(count, gen):
@@ -253,7 +253,7 @@ def test_angles_computed_once_and_only_when_read(monkeypatch):
         calls.append(len(sides))
         return _ANGLES_FROM_SIDES(sides)
 
-    monkeypatch.setattr(sampler, "_angles_from_sides", counted)
+    monkeypatch.setattr(sampler, "angles_from_sides", counted)
     batch = sample_batch("pinned", 300, RandomStream(4))
     for name in ("a", "b_over_c", "max_side", "area"):
         batch.statistic(name)
@@ -375,7 +375,8 @@ def test_write_csv_round_trip():
 def test_write_csv_to_path(tmp_path):
     batch = sample_batch("pinned", 5, RandomStream(19))
     target = tmp_path / "rows.csv"
-    batch.write_csv(target)
+    with open(target, "w", encoding="utf-8", newline="") as handle:
+        batch.write_csv(handle)
     text = target.read_text(encoding="utf-8")
     assert text.startswith(CSV_HEADER)
     assert text.count("\n") == 6
