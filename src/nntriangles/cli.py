@@ -11,7 +11,8 @@ Subcommands
 ``plot``     histogram-plus-density SVG for any catalog density
 
 Exit codes: 0 success, 1 numeric/statistical failure (failed verification,
-unwritable output), 2 usage error (unknown family/kind, malformed flags).
+a density integral that did not converge, unwritable output), 2 usage error
+(unknown family/kind, malformed flags).
 
 Grids are written ``start:stop:count`` (``pi`` is accepted as a number,
 optionally signed or with a numeric prefix such as ``0.5pi``) and are
@@ -34,7 +35,7 @@ import numpy as np
 from . import moments
 from . import verify as verification
 from ._svg import freedman_diaconis_bins, render_density_plot
-from .density import CATALOG
+from .density import CATALOG, QuadratureError
 from .gof import quantile
 from .sampler import (CSV_HEADER, FAMILIES, ROW_BLOCK, RandomStream, sample_batch,
                       write_rows)
@@ -448,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,9 +52,10 @@ class QuadratureError(RuntimeError):
     """Internal quadrature failed to converge; carries the best estimate."""
 
     def __init__(self, message: str, estimate: float, error: float):
-        super().__init__(f"{message} (estimate {estimate!r}, error bound {error!r})")
-        self.estimate = estimate
-        self.error = error
+        self.estimate = float(estimate)
+        self.error = float(error)
+        super().__init__(f"{message} (estimate {self.estimate!r}, "
+                         f"error bound {self.error!r})")
 
 
 def _broadcast(*args):

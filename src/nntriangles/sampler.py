@@ -43,6 +43,12 @@ _U64_MAX = 2**64 - 1
 # already below 1e-80; failure at 10 indicates a broken generator.
 ORACLE_RADII = (2.0, 4.0, 8.0, 10.0)
 
+# Rows per block of the oracle's neighbor search.  A block's padded arrays
+# are (rows, widest count in the block), so the search's memory stays a
+# small multiple of the points drawn; rows are independent, so any block
+# size gives the same bits.
+ORACLE_BLOCK = 1024
+
 # Draw rounds a direct sampler spends on one batch before giving up.  A row
 # rounds degenerate about 1.5 times per million draws (19 redraws for the
 # 12.5M rows of a default verify run), so a row still degenerate after 10
@@ -299,9 +305,36 @@ def _disk_counts_and_points(gen, rows, lo_sq, hi_sq):
     lo_sq <= x^2+y^2 < hi_sq under unit intensity."""
     counts = gen.poisson(math.pi * (hi_sq - lo_sq), rows)
     total = int(counts.sum())
-    radius = np.sqrt(lo_sq + (hi_sq - lo_sq) * gen.random(total))
+    radius = gen.random(total)
+    radius *= hi_sq - lo_sq
+    radius += lo_sq
+    np.sqrt(radius, out=radius)
     theta = gen.uniform(0.0, _TWO_PI, total)
-    return counts, radius * np.cos(theta), radius * np.sin(theta)
+    xs = np.cos(theta)
+    xs *= radius
+    ys = np.sin(theta, out=theta)
+    ys *= radius
+    return counts, xs, ys
+
+
+def _nearest_two(kept_sq, kept_x, kept_y, counts, xs, ys):
+    """Each row's two nearest points among its two kept points followed by
+    its ``counts`` new points (``xs``/``ys`` hold every row's new points in
+    row order), as (squared radii, x, y) arrays of shape (rows, 2)."""
+    width = 2 + (int(counts.max()) if counts.size else 0)
+    new = np.arange(width - 2) < counts[:, None]
+    sq = np.full((counts.size, width), np.inf)
+    x = np.zeros((counts.size, width))
+    y = np.zeros((counts.size, width))
+    sq[:, :2], x[:, :2], y[:, :2] = kept_sq, kept_x, kept_y
+    sq[:, 2:][new] = xs * xs + ys * ys
+    x[:, 2:][new] = xs
+    y[:, 2:][new] = ys
+    # kept points occupy the leading columns, so a stable sort breaks exact
+    # distance ties toward the earlier-generated point
+    top2 = np.argsort(sq, axis=1, kind="stable")[:, :2]
+    return (np.take_along_axis(sq, top2, axis=1), np.take_along_axis(x, top2, axis=1),
+            np.take_along_axis(y, top2, axis=1))
 
 
 def _attempt_oracle(count: int, gen: np.random.Generator):
@@ -312,29 +345,25 @@ def _attempt_oracle(count: int, gen: np.random.Generator):
     the fresh annulus) until the second-nearest point lies within half the
     current radius — at that point no unseen point can beat the two found.
     Exact distance ties are broken toward the earlier-generated point.
+    Each radius draws every active row's points at once, then searches
+    them ``ORACLE_BLOCK`` rows at a time.
     """
     best_sq = np.full((count, 2), np.inf)
-    best_xy = np.zeros((count, 2, 2))
+    best_x = np.zeros((count, 2))
+    best_y = np.zeros((count, 2))
     active = np.arange(count)
     prev_radius = 0.0
     for radius in ORACLE_RADII:
         counts, xs, ys = _disk_counts_and_points(
             gen, active.size, prev_radius**2, radius**2)
-        width = int(counts.max()) if counts.size else 0
-        sq_pad = np.full((active.size, width), np.inf)
-        xy_pad = np.zeros((active.size, width, 2))
-        row_idx = np.repeat(np.arange(active.size), counts)
-        col_idx = np.arange(row_idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        sq_pad[row_idx, col_idx] = xs * xs + ys * ys
-        xy_pad[row_idx, col_idx, 0] = xs
-        xy_pad[row_idx, col_idx, 1] = ys
-        # previously kept points occupy the leading columns, so a stable
-        # sort breaks exact distance ties toward the earlier-generated point
-        sq_all = np.concatenate([best_sq[active], sq_pad], axis=1)
-        xy_all = np.concatenate([best_xy[active], xy_pad], axis=1)
-        top2 = np.argsort(sq_all, axis=1, kind="stable")[:, :2]
-        best_sq[active] = np.take_along_axis(sq_all, top2, axis=1)
-        best_xy[active] = np.take_along_axis(xy_all, top2[:, :, None], axis=1)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        for start in range(0, active.size, ORACLE_BLOCK):
+            stop = min(start + ORACLE_BLOCK, active.size)
+            rows = active[start:stop]
+            points = slice(offsets[start], offsets[stop])
+            best_sq[rows], best_x[rows], best_y[rows] = _nearest_two(
+                best_sq[rows], best_x[rows], best_y[rows], counts[start:stop],
+                xs[points], ys[points])
         active = active[best_sq[active, 1] >= (radius / 2.0) ** 2]
         prev_radius = radius
         if not active.size:
@@ -344,8 +373,8 @@ def _attempt_oracle(count: int, gen: np.random.Generator):
             f"no two neighbors within radius {ORACLE_RADII[-1]}: "
             "generator is producing implausible gaps")
     cols = np.zeros((6, count))
-    cols[2:4] = best_xy[:, 0].T
-    cols[4:6] = best_xy[:, 1].T
+    cols[2], cols[4] = best_x.T
+    cols[3], cols[5] = best_y.T
     return cols.T, None
 
 

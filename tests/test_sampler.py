@@ -7,6 +7,7 @@ seeds are fixed, which makes every p-value deterministic.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,10 +147,36 @@ def _ref_uniform_t(count, gen):
 
 
 def _ref_oracle(count, gen):
-    # the oracle's neighbor search is shared; only its row-major packing is
-    # the reference's own
-    verts, _ = sampler._attempt_oracle(count, gen)
-    return np.ascontiguousarray(verts), None
+    # one row at a time: each radius draws the annulus points of every row
+    # still searching (counts, then radii, then angles), and each row keeps
+    # the two nearest of its kept points followed by its new points in draw
+    # order (a stable sort, so exact ties go to the earlier point)
+    kept = [[] for _ in range(count)]
+    active = list(range(count))
+    lo_sq = 0.0
+    for radius in sampler.ORACLE_RADII:
+        hi_sq = radius * radius
+        counts = gen.poisson(PI * (hi_sq - lo_sq), len(active))
+        total = int(counts.sum())
+        r = np.sqrt(lo_sq + (hi_sq - lo_sq) * gen.random(total))
+        theta = gen.uniform(0.0, 2.0 * PI, total)
+        xs, ys = r * np.cos(theta), r * np.sin(theta)
+        start = 0
+        for row, k in zip(active, counts):
+            new = [(x * x + y * y, x, y)
+                   for x, y in zip(xs[start:start + k], ys[start:start + k])]
+            kept[row] = sorted(kept[row] + new, key=lambda point: point[0])[:2]
+            start += k
+        active = [row for row in active
+                  if len(kept[row]) < 2 or kept[row][1][0] >= (radius / 2.0) ** 2]
+        lo_sq = hi_sq
+        if not active:
+            break
+    assert not active, "reference oracle ran out of radii"
+    verts = np.zeros((count, 6))
+    for row, ((_, bx, by), (_, cx, cy)) in enumerate(kept):
+        verts[row, 2:] = bx, by, cx, cy
+    return verts, None
 
 
 _REFERENCE_ATTEMPTS = {"pinned": _ref_pinned, "staked": _ref_folded(0.0, 1.0),
@@ -428,6 +455,33 @@ def test_oracle_matches_direct_sampler():
     for column in range(3):
         p = stats.ks_2samp(oracle.sides[:, column], direct.sides[:, column]).pvalue
         assert p > 0.001
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 10**6])
+@pytest.mark.parametrize("seed", [0, 13, 2**63])
+def test_oracle_matches_per_row_reference(seed, block, monkeypatch):
+    # the search runs ORACLE_BLOCK rows at a time; rows are independent, so
+    # every block size gives the per-row loop's bits
+    if block is not None:
+        monkeypatch.setattr(sampler, "ORACLE_BLOCK", block)
+    rng, ref_rng = RandomStream(seed, 2100), RandomStream(seed, 2100)
+    batch = sample_pinned_oracle_batch(300, rng)
+    reference = _reference_fill(300, ref_rng, _ref_oracle)
+    _assert_matches_reference(batch, reference, "pinned")
+    assert rng.resamples == ref_rng.resamples
+    assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+
+def test_oracle_memory_scales_with_points_drawn():
+    # 100k rows draw about 1.5M points; padding every row to the widest
+    # count at once peaked at 232 MB
+    tracemalloc.start()
+    try:
+        sample_pinned_oracle_batch(100_000, RandomStream(2, 2100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 def test_oracle_reports_generator_breakage(monkeypatch):
