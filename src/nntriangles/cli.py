@@ -357,7 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for batched computations")
+                        help="worker threads for batched computations; verify "
+                             "with N >= 2 runs its Monte Carlo group in one worker "
+                             "process on N threads beside the other checks "
+                             "(the report is the same for every N)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv; verify: json)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")

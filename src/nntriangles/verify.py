@@ -9,12 +9,17 @@ negative controls, the literal point-process oracle comparison, chi-square
 region tests, and a determinism self-check.  Each check is one
 :class:`CheckResult`.
 
-The suite is pure given (seed, workers, sizes): reports from two identical
-invocations compare equal.
+The suite is pure given (seed, sizes): reports from two identical
+invocations compare equal, for any worker count.  The Monte Carlo group
+draws only from its own streams, so with more than one worker it runs in
+one worker process (on ``workers`` threads) while the calling process runs
+every other group; its rows keep their place in the report.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import math
 # ThreadPoolExecutor stays bound here for the benchmark's tracer (perfbench/tracing.py).
@@ -115,13 +120,12 @@ def suite_passed(results: list[CheckResult]) -> bool:
 # quadrature helpers for the normalization and marginal-consistency groups
 # ---------------------------------------------------------------------------
 
-def _univariate_mass(kind, tol: float) -> float:
+def _univariate_mass(kind, tol: float) -> IntegralResult:
     """Total mass of a univariate catalog density, split at its corners."""
-    total = 0.0
-    for a, b, mode in quadrature_pieces(kind, tol):
-        spec = QuadratureSpec(abs_tol=0.05 * tol, rel_tol=0.1 * tol, singularity=mode)
-        total += integrate_1d(kind.pdf, a, b, spec).value
-    return total
+    return moments._combine([
+        integrate_1d(kind.pdf, a, b, QuadratureSpec(abs_tol=0.05 * tol, rel_tol=0.1 * tol,
+                                                    singularity=mode))
+        for a, b, mode in quadrature_pieces(kind, tol)])
 
 
 def _pair_ac_fixed(a, c) -> np.ndarray:
@@ -135,7 +139,7 @@ def _pair_ac_fixed(a, c) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _pair_ac_mass(tol: float) -> float:
+def _pair_ac_mass(tol: float) -> IntegralResult:
     """Normalization of the (a, c) joint: outer a, inner c split at the
     lower-limit switch c = a/2."""
     a_hi = gaussian_tail_cutoff(0.25 * _PI, 1, 0.01 * tol)
@@ -145,7 +149,7 @@ def _pair_ac_mass(tol: float) -> float:
                          lambda a: (0.0, 0.5 * a), spec)
     above = integrate_2d(_pair_ac_fixed, 0.0, a_hi,
                          lambda a: (0.5 * a, c_hi), spec)
-    return below.value + above.value
+    return moments._combine([below, above])
 
 
 def _pair_ac_pointwise_deviation() -> float:
@@ -227,11 +231,114 @@ def _uT_ratio_identity_deviation() -> float:
 def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
               big_mc_samples: int = 10_000_000, ks_samples: int = 100_000,
               alpha: float = 0.001, inject_failure: str | None = None) -> list[CheckResult]:
-    """Run every check; see the module docstring for the groups."""
+    """Run every check; see the module docstring for the groups.
+
+    The Monte Carlo estimates are collected last: with ``workers > 1`` from
+    one worker process started before the first quadrature group, else
+    drawn here.  The report is the same for every worker count.
+    """
     if mc_samples < 1000 or big_mc_samples < 1000 or ks_samples < 1000:
         raise ValueError("sample sizes must be at least 1000")
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
+    draws = (seed, workers, mc_samples, big_mc_samples)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here, so that importing the package does not pay for
+            # the process machinery; leaving the block joins the worker
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
+            estimates = pool.submit(_monte_carlo_estimates, *draws).result
+        else:
+            estimates = functools.partial(_monte_carlo_estimates, *draws)
+        rows, at, expected = _rows_around_monte_carlo(seed, ks_samples, alpha)
+        rows[at:at] = _monte_carlo_rows(estimates(), *expected)
+    if inject_failure is not None:
+        rows = _inject(rows, inject_failure)
+    return rows
+
+
+# the staked/anchored Monte Carlo groups: (family, quantity, first stream);
+# each also draws an acuteness group from stream + 100, except alphabeta
+_SMALL_GROUPS = (("staked", "beta", 1400), ("anchored", "alpha", 1600),
+                 ("anchored", "alphabeta", 1800))
+
+
+def _pinned_cells() -> list[tuple[str, str]]:
+    """The pinned (quantity, statistic) cells with a finite closed form, in
+    report order."""
+    return sorted((t.quantity, t.statistic) for t in moments.targets("pinned")
+                  if moments.closed_form(t) not in (None, math.inf))
+
+
+def _monte_carlo_estimates(seed: int, workers: int, mc_samples: int,
+                           big_mc_samples: int) -> dict[str, moments.MonteCarloEstimate]:
+    """Every Monte Carlo estimate of the suite, keyed by its check name.
+
+    Plain data in and out, so it can run in a worker process.  Each group
+    draws from its own streams, so where and when it runs does not matter.
+    """
+    reducers = {"monte-carlo:pinned:obtuseness":
+                lambda b: float((b.angles.max(axis=1) > 0.5 * _PI).mean()),
+                "correlation:pinned-ab-monte-carlo":
+                lambda b: float(np.corrcoef(b.sides[:, 0], b.sides[:, 1])[0, 1])}
+    for quantity, statistic in _pinned_cells():
+        reducers[f"monte-carlo:pinned:{quantity}:{statistic}"] = (
+            lambda b, q=quantity, s=statistic:
+            float(np.mean(moments._mc_values(b, q) ** (2.0 if s == "mean-square" else 1.0))))
+    estimates = moments.batch_means("pinned", mc_samples, RandomStream(seed, 1000),
+                                    reducers, workers)
+    estimates.update(moments.batch_means(
+        "pinned", big_mc_samples, RandomStream(seed, 1200),
+        {"expected-ac:monte-carlo-vs-quadrature":
+         lambda b: float((b.sides[:, 0] * b.sides[:, 2]).mean())}, workers))
+    # mc_samples // 5 draws per group, but at least 10 rows per batch
+    small = max(mc_samples // 5, 1000)
+    for family, quantity, base in _SMALL_GROUPS:
+        target = moments.MomentTarget(family, quantity, "mean")
+        estimates[f"monte-carlo:{family}:{quantity}:mean"] = moments.by_monte_carlo(
+            target, small, RandomStream(seed, base), workers)
+        if quantity != "alphabeta":
+            estimates.update(moments.batch_means(
+                family, small, RandomStream(seed, base + 100),
+                {f"acuteness:{family}-monte-carlo":
+                 lambda b: float((b.angles.max(axis=1) < 0.5 * _PI).mean())}, workers))
+    return estimates
+
+
+def _monte_carlo_rows(mc: dict[str, moments.MonteCarloEstimate],
+                      quad_values: dict[tuple[str, str, str], float],
+                      ref_values: dict[moments.MomentTarget, float],
+                      eac: float) -> list[CheckResult]:
+    """The Monte Carlo group's rows, in report order: each estimate against
+    the quadrature, closed or reference value within three standard errors."""
+    def near(name: str, family: str, expected: float, floor: float = 0.0) -> CheckResult:
+        return _near(name, family, expected, mc[name].value,
+                     max(3.0 * mc[name].std_error, floor))
+
+    rows = [near(f"monte-carlo:pinned:{quantity}:{statistic}", "pinned",
+                 quad_values[("pinned", quantity, statistic)])
+            for quantity, statistic in _pinned_cells()]
+    rows.append(near("monte-carlo:pinned:obtuseness", "pinned", 0.75))
+    corr_closed = moments.correlation_ab()
+    rows.append(_near("correlation:pinned-ab-closed-vs-published", "pinned",
+                      0.636, corr_closed, 1e-3))
+    rows.append(near("correlation:pinned-ab-monte-carlo", "pinned", corr_closed, 1e-3))
+    rows.append(near("expected-ac:monte-carlo-vs-quadrature", "pinned", eac))
+    for family, quantity, _ in _SMALL_GROUPS:
+        rows.append(near(f"monte-carlo:{family}:{quantity}:mean", family,
+                         ref_values[moments.MomentTarget(family, quantity, "mean")]))
+        if quantity != "alphabeta":
+            rows.append(near(f"acuteness:{family}-monte-carlo", family,
+                             moments.acuteness(family, "closed")))
+    return rows
+
+
+def _rows_around_monte_carlo(seed: int, ks_samples: int,
+                             alpha: float) -> tuple[list[CheckResult], int, tuple]:
+    """Every group but Monte Carlo, in report order.  Returns the rows, the
+    index at which the Monte Carlo rows go, and the quadrature values they
+    are compared against (see :func:`_monte_carlo_rows`)."""
     rows: list[CheckResult] = []
 
     # --- geometry sanity ---------------------------------------------------
@@ -269,34 +376,35 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
             continue
         tol = 1e-6 if kind.singular_points else 1e-8
         mass = _univariate_mass(kind, 0.1 * tol)
-        rows.append(_near(f"normalization:{tag}", kind.family, 1.0, mass, tol))
+        rows.append(_near_quadrature(f"normalization:{tag}", kind.family, 1.0, mass, tol))
     b_hi = gaussian_tail_cutoff(_PI, 5, 1e-11)
     mass_ab = integrate_2d(lambda b, a: CATALOG["pair_ab"].pdf(a, b),
                            0.0, b_hi, lambda b: (0.0, 2.0 * b),
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-    rows.append(_near("normalization:pair_ab", "pinned", 1.0, mass_ab, 1e-8))
+                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    rows.append(_near_quadrature("normalization:pair_ab", "pinned", 1.0, mass_ab, 1e-8))
     mass_bc = integrate_2d(lambda b, c: CATALOG["pair_bc"].pdf(b, c),
                            0.0, b_hi, lambda b: (0.0, b),
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-    rows.append(_near("normalization:pair_bc", "pinned", 1.0, mass_bc, 1e-8))
-    rows.append(_near("normalization:pair_ac_integral", "pinned", 1.0,
-                      _pair_ac_mass(1e-7), 1e-6))
+                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    rows.append(_near_quadrature("normalization:pair_bc", "pinned", 1.0, mass_bc, 1e-8))
+    rows.append(_near_quadrature("normalization:pair_ac_integral", "pinned", 1.0,
+                                 _pair_ac_mass(1e-7), 1e-6))
     rows.append(_near("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
                       0.0, _pair_ac_pointwise_deviation(), 1e-8))
     mass_angles = integrate_2d(pdf_pinned_angles_joint, 0.0, _PI,
                                lambda a: (0.5 * (_PI - a), _PI - a),
-                               QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-    rows.append(_near("normalization:pinned_angles_joint", "pinned", 1.0,
-                      mass_angles, 1e-8))
+                               QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    rows.append(_near_quadrature("normalization:pinned_angles_joint", "pinned", 1.0,
+                                 mass_angles, 1e-8))
     for tag, joint in (("staked_angles_joint", pdf_staked_angles_joint),
                        ("anchored_angles_joint", pdf_anchored_angles_joint)):
         mass = integrate_2d(joint, 0.0, _PI, lambda a: (0.0, _PI - a),
-                            QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)).value
-        rows.append(_near(f"normalization:{tag}", CATALOG[tag].family, 1.0, mass, 1e-8))
+                            QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+        rows.append(_near_quadrature(f"normalization:{tag}", CATALOG[tag].family, 1.0,
+                                     mass, 1e-8))
     (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a),
                                          tol=3e-7, pieces=("full",))
-    rows.append(_near("normalization:pinned_sides_joint", "pinned", 1.0,
-                      tri_mass.value, 1e-6))
+    rows.append(_near_quadrature("normalization:pinned_sides_joint", "pinned", 1.0,
+                                 tri_mass, 1e-6))
 
     # --- closed-form moment tables: quadrature ------------------------------
     quad_values: dict[tuple[str, str, str], float] = {}
@@ -364,56 +472,7 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
     rows.append(_flag("acuteness:anchored-exceeds-staked", "anchored",
                       anchored_closed > staked_closed))
 
-    # --- Monte Carlo against everything above --------------------------------
-    pinned_reducers = {"obtuse": lambda b: float((b.angles.max(axis=1) > 0.5 * _PI).mean()),
-                       "corr_ab": lambda b: float(np.corrcoef(b.sides[:, 0], b.sides[:, 1])[0, 1])}
-    for family, quantity, statistic in sorted(quad_values):
-        if family != "pinned":
-            continue
-        name = f"{quantity}:{statistic}"
-        pinned_reducers[name] = (lambda b, q=quantity, s=statistic:
-                                 float(np.mean(moments._mc_values(b, q)
-                                               ** (2.0 if s == "mean-square" else 1.0))))
-    pinned_mc = moments.batch_means("pinned", mc_samples, RandomStream(seed, 1000),
-                                    pinned_reducers, workers)
-    for family, quantity, statistic in sorted(quad_values):
-        if family != "pinned":
-            continue
-        mc = pinned_mc[f"{quantity}:{statistic}"]
-        rows.append(_near(f"monte-carlo:pinned:{quantity}:{statistic}", "pinned",
-                          quad_values[(family, quantity, statistic)], mc.value,
-                          3.0 * mc.std_error))
-    mc = pinned_mc["obtuse"]
-    rows.append(_near("monte-carlo:pinned:obtuseness", "pinned", 0.75, mc.value,
-                      3.0 * mc.std_error))
-    corr_closed = moments.correlation_ab()
-    rows.append(_near("correlation:pinned-ab-closed-vs-published", "pinned",
-                      0.636, corr_closed, 1e-3))
-    mc = pinned_mc["corr_ab"]
-    rows.append(_near("correlation:pinned-ab-monte-carlo", "pinned",
-                      corr_closed, mc.value, max(3.0 * mc.std_error, 1e-3)))
-
-    mc = moments.batch_means("pinned", big_mc_samples, RandomStream(seed, 1200),
-                             {"ac": lambda b: float((b.sides[:, 0] * b.sides[:, 2]).mean())},
-                             workers)["ac"]
-    rows.append(_near("expected-ac:monte-carlo-vs-quadrature", "pinned",
-                      eac.value, mc.value, 3.0 * mc.std_error))
-
-    # mc_samples // 5 draws per group, but at least 10 rows per batch
-    small = max(mc_samples // 5, 1000)
-    for family, quantity, base in (("staked", "beta", 1400), ("anchored", "alpha", 1600),
-                                   ("anchored", "alphabeta", 1800)):
-        target = moments.MomentTarget(family, quantity, "mean")
-        mc = moments.by_monte_carlo(target, small, RandomStream(seed, base), workers)
-        rows.append(_near(f"monte-carlo:{family}:{quantity}:mean", family,
-                          ref_values[target], mc.value, 3.0 * mc.std_error))
-        if quantity != "alphabeta":
-            mc = moments.batch_means(family, small, RandomStream(seed, base + 100),
-                                     {"acute": lambda b: float((b.angles.max(axis=1) < 0.5 * _PI).mean())},
-                                     workers)["acute"]
-            closed = moments.acuteness(family, "closed")
-            rows.append(_near(f"acuteness:{family}-monte-carlo", family,
-                              closed, mc.value, 3.0 * mc.std_error))
+    monte_carlo_at = len(rows)
 
     # --- marginal consistency -------------------------------------------------
     side_points = np.linspace(0.12, 2.4, 20)
@@ -490,10 +549,7 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
         dumps.append(buffer.getvalue())
     rows.append(_flag("determinism:repeated-sample-dump-identical", "pinned",
                       dumps[0] == dumps[1]))
-
-    if inject_failure is not None:
-        rows = _inject(rows, inject_failure)
-    return rows
+    return rows, monte_carlo_at, (quad_values, ref_values, eac.value)
 
 
 def _inject(rows: list[CheckResult], check_name: str) -> list[CheckResult]:

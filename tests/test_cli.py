@@ -12,6 +12,7 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import pathlib
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ PI = math.pi
 
 TINY_VERIFY = ["--mc-samples", "2000", "--big-mc-samples", "2000",
                "--ks-samples", "2000"]
+TINY_SIZES = dict(mc_samples=2000, big_mc_samples=2000, ks_samples=2000)
 
 
 def run_cli(argv):
@@ -423,6 +425,60 @@ def test_unconverged_quadrature_fails_its_checks(monkeypatch):
                   or r.check.startswith("table:") and r.check.endswith(":quadrature")]
     assert len(quadrature) == 38
     assert not any(r.passed for r in quadrature)
+
+
+def test_unconverged_normalization_fails_its_checks(monkeypatch):
+    def unconverged(integrate):
+        def wrapped(*args, **kwargs):
+            return dataclasses.replace(integrate(*args, **kwargs), converged=False)
+        return wrapped
+
+    # verify integrates the catalog densities by its own bindings, and the
+    # trivariate mass through moments._pinned_triple
+    for module, name in ((verify, "integrate_1d"), (verify, "integrate_2d"),
+                         (moments, "integrate_2d")):
+        monkeypatch.setattr(module, name, unconverged(getattr(module, name)))
+    # expected_ac raises on an unconverged integral; its rows are not read here
+    monkeypatch.setattr(moments, "expected_ac",
+                        lambda tol: moments.ExpectedAc(moments.EXPECTED_AC, 0.0, 0.0, 0.0))
+    rows = verify.run_suite(seed=2, **TINY_SIZES)
+    normalization = [r for r in rows if r.check.startswith("normalization:")]
+    assert len(normalization) == 27
+    assert not any(r.passed for r in normalization)
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_report_is_the_same_for_every_worker_count(seed):
+    # with workers > 1 the Monte Carlo group draws in a worker process; at
+    # these sizes seed 5 fails two Monte Carlo checks, so failures compare too
+    reports = []
+    for workers in (1, 2, 3):
+        reports.append(verify.run_suite(seed=seed, workers=workers, **TINY_SIZES))
+        assert multiprocessing.active_children() == []
+    assert reports[0] == reports[1] == reports[2]
+    assert sum(not r.passed for r in reports[0]) == (2 if seed == 5 else 0)
+
+
+def test_error_beside_the_monte_carlo_worker_propagates(monkeypatch):
+    def broken(tol=1e-7):
+        raise RuntimeError("broken quadrature")
+
+    monkeypatch.setattr(moments, "expected_ac", broken)
+    with pytest.raises(RuntimeError, match="broken quadrature"):
+        verify.run_suite(seed=2, workers=2, **TINY_SIZES)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_injected_monte_carlo_failure_with_workers():
+    # the negative control through the worker process: its rows are
+    # spliced in before the injection
+    code, out, err = run_cli(["verify", "--workers", "2", *TINY_VERIFY,
+                              "--inject-error", "monte-carlo:pinned:c:mean"])
+    assert code == 1
+    bad = [row["check"] for row in json.loads(out)["checks"] if not row["pass"]]
+    assert bad == ["monte-carlo:pinned:c:mean"]
+    assert "monte-carlo:pinned:c:mean" in err
+    assert multiprocessing.active_children() == []
 
 
 def test_injection_hook_rejects_unknown_name():
