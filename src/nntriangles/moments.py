@@ -14,7 +14,7 @@ densities, the samplers, and the tabulated constants all describe the same
 distributions.  ``REFERENCE_VALUES`` holds the decimal references for the
 quantities with no known closed form, and ``EXPECTED_AC`` records this
 package's own high-precision value for the mean of the pinned product
-``ca``, whose exact expression is an open question.
+``ca``, which has only an 8-decimal external reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import density
 from .geom import heron_product
 from .numerics import (CATALAN, IntegralResult, QuadratureSpec, bessel_i0, erfc,
-                       gaussian_tail_cutoff, integrate_1d, integrate_2d, sin2_integrals)
+                       gaussian_tail_cutoff, integrate_1d, integrate_2d)
 from .sampler import RandomStream, sample_batch
 
 _PI = math.pi
@@ -87,10 +87,11 @@ REFERENCE_VALUES = {
     ("anchored", "alphabeta", "mean"): 0.39837926,
 }
 
-# This package's high-precision value for the pinned mean of ca, from two
-# independent integral orderings that agree to ~3e-12 (the exact expression
-# is unknown; only the first 8 decimals have an external reference).
-EXPECTED_AC = 0.491812153893
+# This package's high-precision value for the pinned mean of ca, from the
+# (alpha, t) quadrature of expected_ac; it agrees with (37 + 2G)/(8 pi^2),
+# G Catalan's constant, to 2e-13.  Only the first 8 decimals have an
+# external reference.
+EXPECTED_AC = 0.491812153890
 
 ACUTENESS_CLOSED = {
     "pinned": 0.25,
@@ -138,12 +139,13 @@ class MonteCarloEstimate:
 @dataclass(frozen=True)
 class ExpectedAc:
     """Mean of the pinned product ca, with its two region contributions
-    (short-a: a < 2c; long-a: a > 2c)."""
+    (short-a: a < 2c; long-a: a > 2c) and whether both converged."""
 
     value: float
     error: float
     branch_short_a: float
     branch_long_a: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -235,22 +237,6 @@ def _pair_side_moment(quantity: str, power: int, tol: float) -> IntegralResult:
     return integrate_2d(f, 0.0, b_hi, lambda b: (np.zeros_like(b), b), spec)
 
 
-def _inner_a_integral(weight, b, c, a_lo, a_hi):
-    """Integral over a of weight * trivariate density, per row, by the fixed
-    sin^2 rule (it turns the density's inverse-square-root edges into a
-    smooth integrand).
-
-    Needs 0 < c < b and [a_lo, a_hi] inside [b - c, b + c], so every node is
-    interior to the support; the a-independent factor 8 pi b c exp(-pi b^2)
-    of the density is applied once per row instead of once per node.
-    """
-    def g(a, rows):
-        B, C = b[rows, None], c[rows, None]
-        return weight(a, B, C) * a / np.sqrt(heron_product(a, B, C))
-
-    return 8.0 * _PI * b * c * np.exp(-_PI * b * b) * sin2_integrals(g, a_lo, a_hi)
-
-
 def _combine(results: list[IntegralResult]) -> IntegralResult:
     return IntegralResult(sum(r.value for r in results),
                           sum(r.error for r in results),
@@ -259,50 +245,61 @@ def _combine(results: list[IntegralResult]) -> IntegralResult:
                           sum(r.neval for r in results))
 
 
-def _pinned_triple(weight, tol: float, pieces=("short_a", "long_a")) -> list[IntegralResult]:
-    """Integrals of weight(a,b,c) against the trivariate pinned density.
+def _opposite_side(alpha, t):
+    """The side a of the triangle with sides b = 1 and c = t meeting at the
+    angle alpha, in a form without cancellation near alpha = 0."""
+    return np.sqrt((1.0 - t)**2 + 4.0 * t * np.sin(0.5 * alpha)**2)
 
-    Ordering: outer b (Gaussian decay), middle c, inner a by the fixed
-    sin^2 rule.  Pieces: "full" covers the whole region {0 < c < b,
-    b-c < a < b+c}; "short_a"/"long_a" split it at a = 2c, the long-a part
-    itself split at c = b/3 so the middle integrand stays smooth.
+
+def _t_split(alpha):
+    """The ratio t = c/b at which a = 2c, for the angle alpha at the origin
+    (the positive root of 3t^2 + 2t cos alpha - 1 = 0); a < 2c above it."""
+    cos = np.cos(alpha)
+    return (np.sqrt(cos * cos + 3.0) - cos) / 3.0
+
+
+def _pinned_triple(weight, degree: int, tol: float,
+                   pieces=("short_a", "long_a")) -> list[IntegralResult]:
+    """Integrals of weight(a,b,c), homogeneous of ``degree`` in the sides,
+    against the trivariate pinned density.
+
+    Coordinates: alpha, the angle at the origin between b and c, and
+    t = c/b, so a^2 = b^2 (1 + t^2 - 2t cos alpha) and
+    da = b t sin(alpha)/a * d(alpha).  That Jacobian cancels the density's
+    inverse-square-root edges at a = b -+ c, and the b integral,
+    int b^(degree+3) exp(-pi b^2) db = Gamma(degree/2 + 2)/(2 pi^(degree/2+2)),
+    comes out in closed form (times e^pi, the b = 1 Gaussian factor of the
+    catalog density).  What remains is one integrate_2d of the catalog
+    density at (a, 1, t) over alpha in (0, pi) outside, t in (0, 1) inside.
+    Pieces: "full" is the whole region; "short_a"/"long_a" split it at
+    a = 2c, which is t = _t_split(alpha).
     """
-    b_hi = gaussian_tail_cutoff(_PI, 8)
-    spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=200)
+    radial = math.exp(_PI) * math.gamma(0.5 * degree + 2.0) / (2.0 * _PI**(0.5 * degree + 2.0))
+    spec = QuadratureSpec(abs_tol=0.1 * tol / radial, rel_tol=0.1 * tol, max_subdivisions=200)
 
-    def over(c_bounds, a_limits) -> IntegralResult:
-        def f(b, c):
-            return _inner_a_integral(weight, b, c, *a_limits(b, c))
-        return integrate_2d(f, 0.0, b_hi, c_bounds, spec)
+    def f(alpha, t):
+        a = _opposite_side(alpha, t)
+        return density.pdf_pinned_sides_joint(a, 1.0, t) * t * np.sin(alpha) / a * weight(a, 1.0, t)
 
+    t_bounds = {"full": lambda alpha: (0.0, 1.0),
+                "short_a": lambda alpha: (_t_split(alpha), 1.0),
+                "long_a": lambda alpha: (0.0, _t_split(alpha))}
     results = []
     for piece in pieces:
-        if piece == "full":
-            results.append(over(lambda b: (0.0, b), lambda b, c: (b - c, b + c)))
-        elif piece == "short_a":
-            results.append(over(lambda b: (b / 3.0, b), lambda b, c: (b - c, 2.0 * c)))
-        elif piece == "long_a":
-            results.append(_combine([
-                over(lambda b: (0.0, b / 3.0), lambda b, c: (b - c, b + c)),
-                over(lambda b: (b / 3.0, b), lambda b, c: (2.0 * c, b + c)),
-            ]))
-        else:
-            raise ValueError(f"unknown region piece {piece!r}")
+        r = integrate_2d(f, 0.0, _PI, t_bounds[piece], spec)
+        results.append(replace(r, value=radial * r.value, error=radial * r.error))
     return results
 
 
 def expected_ac(tol: float = 1e-7) -> ExpectedAc:
-    """Mean of the pinned product ca by nested quadrature of the two
-    region pieces (a < 2c and a > 2c) of the trivariate density."""
+    """Mean of the pinned product ca by quadrature of the two region pieces
+    (a < 2c and a > 2c) of the trivariate density; ``converged`` is false
+    when either piece did not converge."""
     if tol < 1e-12:
         raise ValueError(f"tolerance too tight for the nested rule: {tol}")
-    short, long_ = _pinned_triple(lambda a, b, c: a * c, tol)
-    value = short.value + long_.value
-    error = short.error + long_.error
-    if not (short.converged and long_.converged):
-        raise RuntimeError(
-            f"expected_ac did not converge: best estimate {value} +- {error}")
-    return ExpectedAc(value, error, short.value, long_.value)
+    short, long_ = _pinned_triple(lambda a, b, c: a * c, 2, tol)
+    return ExpectedAc(short.value + long_.value, short.error + long_.error,
+                      short.value, long_.value, short.converged and long_.converged)
 
 
 def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
@@ -323,11 +320,11 @@ def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
     if target.quantity == "ca":
         def weight(a, b, c):
             return (a * c)**power
-        return _combine(_pinned_triple(weight, tol))
+        return _combine(_pinned_triple(weight, 2 * power, tol))
     if target.quantity == "area":
         def weight(a, b, c):
             return (np.sqrt(np.maximum(heron_product(a, b, c), 0.0)) / 4.0)**power
-        (full,) = _pinned_triple(weight, tol, pieces=("full",))
+        (full,) = _pinned_triple(weight, 2 * power, tol, pieces=("full",))
         return full
     raise ValueError(f"no quadrature path for {target}")
 

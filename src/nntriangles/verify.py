@@ -95,7 +95,8 @@ def _near(check: str, family: str, expected: float, actual: float,
 
 
 def _near_quadrature(check: str, family: str, expected: float,
-                     result: IntegralResult, tolerance: float) -> CheckResult:
+                     result: IntegralResult | moments.ExpectedAc,
+                     tolerance: float) -> CheckResult:
     """``_near`` on a quadrature value; one that did not converge fails."""
     row = _near(check, family, expected, result.value, tolerance)
     return replace(row, passed=row.passed and bool(result.converged))
@@ -401,7 +402,7 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
                             QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
         rows.append(_near_quadrature(f"normalization:{tag}", CATALOG[tag].family, 1.0,
                                      mass, 1e-8))
-    (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a),
+    (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a), 0,
                                          tol=3e-7, pieces=("full",))
     rows.append(_near_quadrature("normalization:pinned_sides_joint", "pinned", 1.0,
                                  tri_mass, 1e-6))
@@ -432,8 +433,8 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
 
     # --- two routes to E(ac) -------------------------------------------------
     eac = moments.expected_ac(tol=1e-7)
-    rows.append(_near("expected-ac:quadrature-vs-published-digits", "pinned",
-                      0.49181215, eac.value, 1e-7))
+    rows.append(_near_quadrature("expected-ac:quadrature-vs-published-digits", "pinned",
+                                 0.49181215, eac, 1e-7))
 
     # --- divergence ----------------------------------------------------------
     for quantity in ("b/a", "b/c", "c/a", "a/c"):

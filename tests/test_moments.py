@@ -29,7 +29,8 @@ from nntriangles.moments import (
     targets,
     truncated_mean_square,
 )
-from nntriangles.numerics import IntegralResult
+from nntriangles.geom import heron_product
+from nntriangles.numerics import CATALAN, IntegralResult
 from nntriangles.sampler import RandomStream, sample_batch
 
 PI = math.pi
@@ -154,9 +155,44 @@ def test_truncated_mean_square_grows_logarithmically():
         truncated_mean_square(other, 10.0).value
 
 
+# (alpha, t) route of the trivariate pinned integrals, at the tolerances
+# verify and tables pass: (weight, degree, pieces, tol, exact value)
+AC_CLOSED = (37.0 + 2.0 * CATALAN) / (8.0 * PI**2)
+TRIPLE_CASES = [
+    (lambda a, b, c: np.ones_like(a), 0, ("full",), 3e-7, 1.0),
+    (lambda a, b, c: (a * c)**2, 4, ("short_a", "long_a"), 1e-8, 5.0 / PI**2),
+    (lambda a, b, c: np.sqrt(np.maximum(heron_product(a, b, c), 0.0)) / 4.0, 2,
+     ("full",), 1e-8, 4.0 / (3.0 * PI**2)),
+    (lambda a, b, c: heron_product(a, b, c) / 16.0, 4, ("full",), 1e-8, 3.0 / (8.0 * PI**2)),
+    (lambda a, b, c: a * c, 2, ("short_a", "long_a"), 1e-8, AC_CLOSED),
+    (lambda a, b, c: a * c, 2, ("short_a", "long_a"), 1e-7, AC_CLOSED),
+]
+
+
+@pytest.mark.parametrize("weight,degree,pieces,tol,exact", TRIPLE_CASES)
+def test_pinned_triple_matches_closed_forms(weight, degree, pieces, tol, exact):
+    results = moments._pinned_triple(weight, degree, tol, pieces)
+    assert all(r.converged for r in results)
+    assert sum(r.value for r in results) == pytest.approx(exact, abs=1e-11)
+
+
+def test_pinned_triple_pieces_add_up_to_the_full_region():
+    short, long_, full = moments._pinned_triple(lambda a, b, c: a * c, 2, 1e-8,
+                                                ("short_a", "long_a", "full"))
+    assert short.value + long_.value == pytest.approx(full.value, abs=1e-13)
+
+
+def test_pinned_triple_split_is_where_a_equals_2c():
+    alpha = np.random.default_rng(11).uniform(0.0, PI, 1000)
+    t = moments._t_split(alpha)
+    assert np.all((t > 1.0 / 3.0 - 1e-15) & (t < 1.0 + 1e-15))
+    np.testing.assert_allclose(moments._opposite_side(alpha, t), 2.0 * t, rtol=0.0, atol=1e-15)
+
+
 def test_expected_ac_two_region_split():
     r = expected_ac(tol=1e-7)
-    assert r.value == pytest.approx(EXPECTED_AC, abs=1e-7)
+    assert r.converged
+    assert r.value == pytest.approx(EXPECTED_AC, abs=1e-11)
     assert r.branch_short_a > 0 and r.branch_long_a > 0
     assert r.branch_short_a + r.branch_long_a == pytest.approx(r.value, abs=1e-15)
     assert r.error < 1e-6

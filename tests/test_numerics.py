@@ -7,12 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from nntriangles import density, moments
 from nntriangles.numerics import (CATALAN, IntegrandError, MonotoneCubic,
                                   QuadratureSpec, _segment_sums, bessel_i0, erfc,
                                   fixed_panel_integrals, gaussian_tail_cutoff,
-                                  integrate_1d, integrate_2d, integrate_batch,
-                                  sin2_integrals)
+                                  integrate_1d, integrate_2d, integrate_batch)
 
 PI = math.pi
 
@@ -232,28 +230,6 @@ def test_segment_sums_match_ndarray_sum_bit_for_bit():
     for i, (s, n) in enumerate(zip(starts, sizes)):
         assert sums[0, i] == x[0, s:s + n].sum()
         assert sums[1, i] == x[1, s:s + n].sum()
-
-
-@pytest.mark.parametrize("weight", [lambda a, b, c: a * c,
-                                    lambda a, b, c: np.ones_like(a),
-                                    lambda a, b, c: (a * b) ** 2])
-def test_inner_a_integral_matches_catalog_density_rule(weight):
-    # the factored rule against the same nodes applied to the catalog density
-    rng = np.random.default_rng(3)
-    n = 700
-    b = 0.05 + 2.5 * rng.random(n)
-    c = b * (0.02 + 0.96 * rng.random(n))
-    a_lo = b - c + 0.3 * c * rng.random(n)
-    a_hi = b + c - 0.3 * c * rng.random(n)
-    fast = moments._inner_a_integral(weight, b, c, a_lo, a_hi)
-
-    def g(a, rows):
-        B, C = b[rows, None], c[rows, None]
-        return weight(a, B, C) * density.pdf_pinned_sides_joint(a, B, C)
-
-    reference = sin2_integrals(g, a_lo, a_hi)
-    assert np.all(reference > 0.0)
-    np.testing.assert_allclose(fast, reference, rtol=1e-14, atol=0.0)
 
 
 def test_gaussian_tail_cutoff_is_sound():

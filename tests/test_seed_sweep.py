@@ -1,0 +1,36 @@
+"""Opt-in seed sweep: the exact failing checks of the tiny suite per seed.
+
+At 2000 samples per group a few checks fail at some seeds with nothing
+wrong, at the rate the suite's 3-sigma and alpha = 1e-3 thresholds predict.
+Pinning that set makes any verdict a change flips visible.  It takes about
+20 s, so it runs only when NNTRIANGLES_SEED_SWEEP=1 is set.
+"""
+
+import os
+
+import pytest
+
+from nntriangles import verify
+
+SEEDS = range(1, 31)
+TINY_SIZES = dict(mc_samples=2000, big_mc_samples=2000, ks_samples=2000)
+
+# seed -> the checks that fail at it; every other seed passes
+EXPECTED_FAILURES = {
+    5: {"monte-carlo:pinned:b/a:mean", "monte-carlo:pinned:c/a:mean"},
+    10: {"ks:pinned_beta", "ks:ratio_a_over_b", "ks:ratio_b_over_a"},
+    25: {"correlation:pinned-ab-monte-carlo"},
+    29: {"monte-carlo:pinned:a:mean", "monte-carlo:pinned:a/b:mean",
+         "monte-carlo:pinned:gammaalpha:mean"},
+    30: {"monte-carlo:pinned:b/c:mean"},
+}
+
+
+@pytest.mark.skipif(os.environ.get("NNTRIANGLES_SEED_SWEEP") != "1",
+                    reason="slow; set NNTRIANGLES_SEED_SWEEP=1 to run")
+def test_tiny_suite_fails_the_pinned_checks_at_each_seed():
+    failed = {}
+    for seed in SEEDS:
+        rows = verify.run_suite(seed=seed, workers=1, **TINY_SIZES)
+        failed[seed] = {r.check for r in rows if not r.passed}
+    assert failed == {seed: EXPECTED_FAILURES.get(seed, set()) for seed in SEEDS}
