@@ -10,9 +10,8 @@ Subcommands
 ``verify``   run the deterministic verification suite, exit 0 iff all pass
 ``plot``     histogram-plus-density SVG for any catalog density
 
-Exit codes: 0 success, 1 numeric/statistical failure (failed verification,
-a density integral that did not converge, unwritable output), 2 usage error
-(unknown family/kind, malformed flags).
+Exit codes: 0 success, 1 failed verification or unwritable output, 2 usage
+error (unknown family/kind, malformed flags).
 
 Grids are written ``start:stop:count`` (``pi`` is accepted as a number,
 optionally signed or with a numeric prefix such as ``0.5pi``) and are
@@ -35,7 +34,7 @@ import numpy as np
 from . import moments
 from . import verify as verification
 from ._svg import freedman_diaconis_bins, render_density_plot
-from .density import CATALOG, QuadratureError
+from .density import CATALOG
 from .gof import quantile
 from .sampler import (CSV_HEADER, FAMILIES, ROW_BLOCK, RandomStream, sample_batch,
                       write_rows)
@@ -452,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, QuadratureError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

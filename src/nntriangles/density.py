@@ -23,8 +23,8 @@ Every evaluator accepts scalars or ndarrays (broadcasting), returns 0.0
 outside the open support, NaN wherever any coordinate is NaN, and
 math.inf at boundary points where the density genuinely diverges
 (collinear side triples, the unit point of the uT side/ratio/max
-densities).  Only ``pdf_pair_ac`` integrates internally (adaptively);
-everything else is closed-form.
+densities).  Only ``pdf_pair_ac`` integrates internally, by one fixed
+rule; everything else is closed-form.
 """
 
 from __future__ import annotations
@@ -37,25 +37,14 @@ import numpy as np
 
 from .geom import heron_product
 # integrate_1d stays bound here for the benchmark's tracer (perfbench/tracing.py).
-from .numerics import QuadratureSpec, erfc, integrate_1d, integrate_batch  # noqa: F401
+from .numerics import GL16_NODES, GL16_WEIGHTS, erfc, integrate_1d, weighted_sums  # noqa: F401
 
 __all__ = [
     "CATALOG",
     "DensityKind",
-    "QuadratureError",
 ]
 
 _PI = math.pi
-
-
-class QuadratureError(RuntimeError):
-    """Internal quadrature failed to converge; carries the best estimate."""
-
-    def __init__(self, message: str, estimate: float, error: float):
-        self.estimate = float(estimate)
-        self.error = float(error)
-        super().__init__(f"{message} (estimate {self.estimate!r}, "
-                         f"error bound {self.error!r})")
 
 
 def _broadcast(*args):
@@ -342,41 +331,43 @@ def pdf_pair_bc(x, y):
     return _finish(out, scalar)
 
 
-def pdf_pair_ac(a, c, tol: float = 1e-10):
-    """Joint density of (a, c), marginalizing b out of the trivariate density.
+# pdf_pair_ac's rule: four 16-point Gauss-Legendre panels on (0, 1); and
+# the exponent at which it cuts the range, exp(-50) ~ 2e-22 of the start
+_PAIR_AC_T = ((np.arange(4)[:, None] + 0.5 + 0.5 * GL16_NODES) / 4.0).ravel()
+_PAIR_AC_W = np.tile(GL16_WEIGHTS / 8.0, 4)
+_PAIR_AC_DECAY = 50.0
 
-    f(a,c) = 8*pi*a*c * int b exp(-pi b^2) / sqrt(((a+c)^2-b^2)(b^2-(a-c)^2)) db
-    over b from max(c, a-c) to a+c.  The integrand has inverse-square-root
-    endpoint singularities, removed exactly by the sin^2 substitution.  All
-    points are integrated as one batch.  Raises QuadratureError if the
-    requested tolerance cannot be met at some point.
+
+def pdf_pair_ac(a, c):
+    """Joint density of (a, c): the trivariate density with b integrated out.
+
+    In beta, the angle between sides a and c, b^2 = a^2 + c^2 - 2ac cos beta
+    and the inverse-square-root ends cancel exactly:
+    f(a, c) = 4 pi a c int_{beta0}^{pi} exp(-pi b^2) dbeta, where
+    cos beta0 = min(1, a/(2c)) is the condition b > c.  exp(-pi b0^2)
+    factors out, b0 = c when a < 2c and a - c otherwise, leaving the
+    exponent pi (b^2 - b0^2) = 2h sin((beta+beta0)/2) sin((beta-beta0)/2),
+    h = 2 pi a c, in which nothing cancels.  It grows with beta over a width
+    near 1/h or 1/sqrt(h); cutting the range where it reaches 50 (or at pi)
+    lets one fixed rule resolve the integrand at every size of a and c.
     """
     (A, C), out, scalar = _broadcast(a, c)
     m = (A > 0.0) & (C > 0.0) & np.isfinite(A) & np.isfinite(C)
     m[m] = np.maximum(C[m], A[m] - C[m]) < _GAUSS_ZERO_FROM  # the b-range's start
     if m.any():
         a, c = A[m], C[m]
-        lo = np.maximum(c, a - c)
-        hi = a + c
-        lo2 = (a - c) ** 2
-        hi2 = hi * hi
-
-        def integrand(b: np.ndarray, k: np.ndarray) -> np.ndarray:
-            b2 = b * b
-            rad = (hi2[k] - b2) * (b2 - lo2[k])
-            vals = np.zeros_like(b)
-            ok = rad > 0.0
-            vals[ok] = b[ok] * np.exp(-_PI * b2[ok]) / np.sqrt(rad[ok])
-            return vals
-
-        spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=tol, singularity="both")
-        r = integrate_batch(integrand, lo, hi, spec)
-        value = 8.0 * _PI * a * c * r.value
-        if not r.converged.all():
-            i = int(np.argmin(r.converged))
-            raise QuadratureError(f"pair (a,c) density at ({a[i]}, {c[i]}) did not converge",
-                                  value[i], 8.0 * _PI * a[i] * c[i] * r.error[i])
-        out[m] = value
+        q = np.maximum(2.0 * c - a, 0.0) / (4.0 * c)  # sin^2(beta0 / 2); 0 when a >= 2c
+        b0 = np.where(q > 0.0, c, a - c)
+        beta0 = 2.0 * np.arcsin(np.sqrt(q))
+        h = 2.0 * _PI * a * c
+        # below h = decay / 2 the cut lies past pi; the floor keeps h = 0 from dividing
+        cut = np.arccos(np.maximum(1.0 - 2.0 * q - _PAIR_AC_DECAY
+                                   / np.maximum(h, 0.5 * _PAIR_AC_DECAY), -1.0))
+        width = cut - beta0
+        d = width[:, None] * _PAIR_AC_T  # beta - beta0 at each node
+        expo = 2.0 * h[:, None] * np.sin(beta0[:, None] + 0.5 * d) * np.sin(0.5 * d)
+        integral = width * weighted_sums(np.exp(-expo), _PAIR_AC_W)
+        out[m] = 4.0 * _PI * a * c * np.exp(-_PI * b0 * b0) * integral
     return _finish(out, scalar)
 
 

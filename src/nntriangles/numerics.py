@@ -19,8 +19,8 @@ with the QUADPACK-style error estimate.  Inverse-square-root endpoint
 singularities are removed exactly by the substitution x = a + (b-a) sin^2(t),
 which turns 1/sqrt(x-a) and 1/sqrt(b-x) factors into smooth ones.
 
-Every fixed-node rule in the package -- the G7-K15 panels, the sin^2 rule of
-:func:`sin2_integrals` and the chi-square cells -- reduces its node values
+Every fixed-node rule in the package -- the G7-K15 panels, the chi-square
+cells and the rule of ``density.pdf_pair_ac`` -- reduces its node values
 with :func:`weighted_sums`, and the adaptive engine totals its panels per
 integral; both sum each row on its own in the pairwise order of
 ``ndarray.sum`` (:func:`_pairwise_sums`, no BLAS call).
@@ -52,7 +52,6 @@ __all__ = [
     "integrate_1d",
     "integrate_2d",
     "integrate_batch",
-    "sin2_integrals",
     "weighted_sums",
 ]
 
@@ -113,21 +112,9 @@ _EPS = np.finfo(float).eps
 _INITIAL_PANELS = 4
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: the one rule behind every
-# fixed-node integral in the package (chi-square cells and the sin^2 rule
-# below).
+# fixed-node integral in the package (the chi-square cells and the rule of
+# density.pdf_pair_ac).
 GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-# The sin^2 rule of sin2_integrals: six 16-point panels on t in (0, pi/2)
-# under x = lo + (hi - lo) sin^2 t, each weight carrying its Jacobian.
-_SIN2_PANELS = 6
-_SIN2_T = (math.pi / 2.0) * ((np.arange(_SIN2_PANELS)[:, None] + 0.5
-                              + 0.5 * GL16_NODES[None, :]) / _SIN2_PANELS).ravel()
-_SIN2_NODES = np.sin(_SIN2_T)**2
-_SIN2_JW = np.sin(2.0 * _SIN2_T) * np.tile((math.pi / 4.0) * GL16_WEIGHTS / _SIN2_PANELS,
-                                            _SIN2_PANELS)
-# Rows per slice of sin2_integrals, which expands its rows into (rows, 96)
-# arrays: keeps the temporaries in cache and the memory bounded.
-_ROW_SLICE = 256
 
 
 class IntegrandError(ValueError):
@@ -477,25 +464,6 @@ def fixed_panel_integrals(f: Callable, edges: np.ndarray, singular_edges: tuple[
         out[singular], _ = _eval_panels(lambda t: mapped(t, owner), np.zeros(count),
                                         np.full(count, 0.5 * math.pi))
     return out
-
-
-def sin2_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The integral of g over (lo[k], hi[k]) for every row k, by a fixed rule.
-
-    For integrands with inverse-square-root factors at both ends: under
-    x = lo + (hi - lo) sin^2 t the integrand is smooth, and six 16-point
-    Gauss-Legendre panels cover t in (0, pi/2).  g(x, rows) receives the
-    (r, 96) nodes of the rows selected by the slice ``rows`` and returns
-    values of that shape.  Rows run 256 at a time (``_ROW_SLICE``); each
-    row's result depends on that row only.
-    """
-    width = hi - lo
-    out = np.empty(len(lo))
-    for start in range(0, len(lo), _ROW_SLICE):
-        rows = slice(start, start + _ROW_SLICE)
-        x = lo[rows, None] + width[rows, None] * _SIN2_NODES
-        out[rows] = weighted_sums(g(x, rows), _SIN2_JW)
-    return width * out
 
 
 _ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)

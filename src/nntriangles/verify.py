@@ -57,6 +57,7 @@ from .gof import (
 )
 from .numerics import (
     CATALAN,
+    BatchResult,
     IntegralResult,
     QuadratureSpec,
     bessel_i0,
@@ -65,7 +66,6 @@ from .numerics import (
     integrate_1d,
     integrate_2d,
     integrate_batch,
-    sin2_integrals,
 )
 from .sampler import RandomStream, sample_batch, sample_pinned_oracle_batch
 
@@ -129,15 +129,12 @@ def _univariate_mass(kind, tol: float) -> IntegralResult:
         for a, b, mode in quadrature_pieces(kind, tol)])
 
 
-def _pair_ac_fixed(a, c) -> np.ndarray:
-    """The (a, c) joint evaluated by the fixed sin^2 rule over b; broadcasts
-    a and c."""
-    a, c = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(c, dtype=float))
-    shape = a.shape
-    a, c = a.ravel(), c.ravel()
-    out = sin2_integrals(lambda b, rows: pdf_pinned_sides_joint(a[rows, None], b, c[rows, None]),
-                         np.maximum(c, a - c), a + c)
-    return out.reshape(shape)
+def _deviation(r: BatchResult, reference, inner=()) -> IntegralResult:
+    """The largest |r.value - reference| of a batch, as one result that
+    converged only if every integral of the batch, and of ``inner``, did."""
+    converged = all(bool(x.converged.all()) for x in (r, *inner))
+    return IntegralResult(float(np.abs(r.value - reference).max()), float(r.error.max()),
+                          int(r.subdivisions.sum()), converged, int(r.neval.sum()))
 
 
 def _pair_ac_mass(tol: float) -> IntegralResult:
@@ -146,58 +143,62 @@ def _pair_ac_mass(tol: float) -> IntegralResult:
     a_hi = gaussian_tail_cutoff(0.25 * _PI, 1, 0.01 * tol)
     c_hi = gaussian_tail_cutoff(_PI, 1, 0.01 * tol)
     spec = QuadratureSpec(abs_tol=0.2 * tol, rel_tol=0.2 * tol)
-    below = integrate_2d(_pair_ac_fixed, 0.0, a_hi,
-                         lambda a: (0.0, 0.5 * a), spec)
-    above = integrate_2d(_pair_ac_fixed, 0.0, a_hi,
-                         lambda a: (0.5 * a, c_hi), spec)
+    below = integrate_2d(pdf_pair_ac, 0.0, a_hi, lambda a: (0.0, 0.5 * a), spec)
+    above = integrate_2d(pdf_pair_ac, 0.0, a_hi, lambda a: (0.5 * a, c_hi), spec)
     return moments._combine([below, above])
 
 
-def _pair_ac_pointwise_deviation() -> float:
-    """Registered adaptive form of the (a, c) joint against the fixed rule
-    at scattered interior points."""
-    a = np.array([0.3, 0.7, 1.1, 1.7, 2.3])[:, None]
-    c = np.array([0.05, 0.3, 0.5, 0.8, 1.2, 2.0])[None, :] * a
-    return float(np.abs(pdf_pair_ac(a, c, tol=1e-10) - _pair_ac_fixed(a, c)).max())
+def _pair_ac_pointwise_deviation() -> IntegralResult:
+    """The (a, c) joint against the trivariate density integrated over b by
+    the adaptive engine (through its sin^2 map), at scattered interior points."""
+    a = np.repeat([0.3, 0.7, 1.1, 1.7, 2.3], 6)
+    c = np.tile([0.05, 0.3, 0.5, 0.8, 1.2, 2.0], 5) * a
+    r = integrate_batch(lambda b, k: pdf_pinned_sides_joint(a[k], b, c[k]),
+                        np.maximum(c, a - c), a + c,
+                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, singularity="both"))
+    return _deviation(r, pdf_pair_ac(a, c))
 
 
-def _marginal_a_deviation(points: np.ndarray) -> float:
+def _marginal_a_deviation(points: np.ndarray) -> IntegralResult:
     """Trivariate -> a: integrate the (a, c) reduction over c and compare
     with the closed-form a density."""
     c_hi = gaussian_tail_cutoff(_PI, 2, 1e-11)
-    r = integrate_batch(lambda cs, k: pdf_pair_ac(points[k], cs, tol=1e-9),
+    r = integrate_batch(lambda cs, k: pdf_pair_ac(points[k], cs),
                         np.zeros_like(points), np.full_like(points, c_hi),
                         QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
-    return float(np.abs(r.value - pdf_pinned_a(points)).max())
+    return _deviation(r, pdf_pinned_a(points))
 
 
-def _sides_joint_over_a(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _sides_joint_over_a(b: np.ndarray, c: np.ndarray, inner: list) -> np.ndarray:
     """The trivariate density integrated over a (collinearity-singular at
-    both ends) at each (b, c)."""
-    return integrate_batch(lambda a, k: pdf_pinned_sides_joint(a, b[k], c[k]),
-                           np.abs(b - c), b + c,
-                           QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
-                                          singularity="both")).value
+    both ends) at each (b, c); the batch's result is appended to ``inner``."""
+    inner.append(integrate_batch(lambda a, k: pdf_pinned_sides_joint(a, b[k], c[k]),
+                                 np.abs(b - c), b + c,
+                                 QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
+                                                singularity="both")))
+    return inner[-1].value
 
 
-def _marginal_b_deviation(points: np.ndarray) -> float:
+def _marginal_b_deviation(points: np.ndarray) -> IntegralResult:
     """Trivariate -> b: inner a, then c over (0, b)."""
-    r = integrate_batch(lambda cs, k: _sides_joint_over_a(points[k], cs),
+    inner = []
+    r = integrate_batch(lambda cs, k: _sides_joint_over_a(points[k], cs, inner),
                         np.zeros_like(points), points,
                         QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-    return float(np.abs(r.value - pdf_pinned_b(points)).max())
+    return _deviation(r, pdf_pinned_b(points), inner)
 
 
-def _marginal_c_deviation(points: np.ndarray) -> float:
+def _marginal_c_deviation(points: np.ndarray) -> IntegralResult:
     """Trivariate -> c: inner a, then b over (c, infinity-proxy)."""
     b_hi = gaussian_tail_cutoff(_PI, 3, 1e-12)
-    r = integrate_batch(lambda bs, k: _sides_joint_over_a(bs, points[k]),
+    inner = []
+    r = integrate_batch(lambda bs, k: _sides_joint_over_a(bs, points[k], inner),
                         points, np.full_like(points, b_hi),
                         QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-    return float(np.abs(r.value - pdf_pinned_c(points)).max())
+    return _deviation(r, pdf_pinned_c(points), inner)
 
 
-def _angle_joint_deviations() -> tuple[float, float, float]:
+def _angle_joint_deviations() -> tuple[IntegralResult, IntegralResult, IntegralResult]:
     """Numeric marginals of the angle joints vs the uniform alpha law and
     the closed-form beta density, one batch of 20 points each."""
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
@@ -208,12 +209,11 @@ def _angle_joint_deviations() -> tuple[float, float, float]:
                            np.maximum(0.0, _PI - 2.0 * points), _PI - points, spec)
     staked = integrate_batch(lambda be, k: pdf_staked_angles_joint(points[k], be),
                              np.zeros_like(points), _PI - points, spec)
-    return (float(np.abs(alpha.value - 1.0 / _PI).max()),
-            float(np.abs(beta.value - pdf_pinned_beta(points)).max()),
-            float(np.abs(staked.value - 1.0 / _PI).max()))
+    return (_deviation(alpha, 1.0 / _PI), _deviation(beta, pdf_pinned_beta(points)),
+            _deviation(staked, 1.0 / _PI))
 
 
-def _uT_ratio_identity_deviation() -> float:
+def _uT_ratio_identity_deviation() -> IntegralResult:
     """The two-sides joint reduced along rays a = z b, against the closed
     single-side density, pointwise."""
     zs = np.concatenate([np.linspace(0.08, 0.92, 8),
@@ -222,7 +222,7 @@ def _uT_ratio_identity_deviation() -> float:
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
     r = integrate_batch(lambda b, k: b * pdf_uT_sides_joint(zs[k] * b, b),
                         1.0 / (1.0 + zs), 1.0 / np.abs(1.0 - zs), spec)
-    return float(np.abs(r.value - pdf_uT_side_a(zs)).max())
+    return _deviation(r, pdf_uT_side_a(zs))
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +357,18 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
     # --- special functions against independent integral forms --------------
     spec10 = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
     i0_quad = integrate_1d(lambda t: np.exp(0.5 * _PI * np.cos(t)) / _PI,
-                           0.0, _PI, spec10).value
-    rows.append(_near("special:bessel-i0-integral-form", "-",
-                      bessel_i0(0.5 * _PI), i0_quad, 1e-12))
+                           0.0, _PI, spec10)
+    rows.append(_near_quadrature("special:bessel-i0-integral-form", "-",
+                                 bessel_i0(0.5 * _PI), i0_quad, 1e-12))
     erfc_quad = integrate_1d(lambda t: (2.0 / math.sqrt(_PI)) * np.exp(-t * t),
-                             1.0, 10.0, spec10).value
-    rows.append(_near("special:erfc-integral-form", "-", erfc(1.0),
-                      erfc_quad, 1e-13))
+                             1.0, 10.0, spec10)
+    rows.append(_near_quadrature("special:erfc-integral-form", "-", erfc(1.0),
+                                 erfc_quad, 1e-13))
     catalan_quad = integrate_1d(lambda t: -np.log(np.maximum(t, 1e-300)) / (1.0 + t * t),
                                 0.0, 1.0, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
-                                                         singularity="left")).value
-    rows.append(_near("special:catalan-integral-form", "-", CATALAN,
-                      catalan_quad, 1e-10))
+                                                         singularity="left"))
+    rows.append(_near_quadrature("special:catalan-integral-form", "-", CATALAN,
+                                 catalan_quad, 1e-10))
 
     # --- normalization ------------------------------------------------------
     for tag in sorted(CATALOG):
@@ -389,8 +389,8 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
     rows.append(_near_quadrature("normalization:pair_bc", "pinned", 1.0, mass_bc, 1e-8))
     rows.append(_near_quadrature("normalization:pair_ac_integral", "pinned", 1.0,
                                  _pair_ac_mass(1e-7), 1e-6))
-    rows.append(_near("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
-                      0.0, _pair_ac_pointwise_deviation(), 1e-8))
+    rows.append(_near_quadrature("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
+                                 0.0, _pair_ac_pointwise_deviation(), 1e-8))
     mass_angles = integrate_2d(pdf_pinned_angles_joint, 0.0, _PI,
                                lambda a: (0.5 * (_PI - a), _PI - a),
                                QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
@@ -451,8 +451,8 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
     target_bc = moments.MomentTarget("pinned", "b/c", "mean-square")
     for cutoff in (10.0, 100.0, 1000.0):
         truncated = moments.truncated_mean_square(target_bc, cutoff)
-        rows.append(_near(f"truncated-mean-square:b/c:M={int(cutoff)}", "pinned",
-                          2.0 * math.log(cutoff), truncated.value, 1e-10))
+        rows.append(_near_quadrature(f"truncated-mean-square:b/c:M={int(cutoff)}", "pinned",
+                                     2.0 * math.log(cutoff), truncated, 1e-10))
 
     # --- acuteness: exact decompositions and closed forms --------------------
     spec8 = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
@@ -460,8 +460,8 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
             ("alpha-obtuse-half", "beta-obtuse-quarter", "gamma-never-obtuse"),
             (pdf_pinned_alpha, pdf_pinned_beta, pdf_pinned_gamma),
             moments.PINNED_OBTUSE_PARTS, (1e-8, 1e-8, 1e-12)):
-        p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8).value
-        rows.append(_near(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
+        p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8)
+        rows.append(_near_quadrature(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
     staked_closed = moments.acuteness("staked", "closed")
     anchored_closed = moments.acuteness("anchored", "closed")
     rows.append(_near("acuteness:staked-closed-vs-quadrature", "staked",
@@ -476,22 +476,21 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
     monte_carlo_at = len(rows)
 
     # --- marginal consistency -------------------------------------------------
-    side_points = np.linspace(0.12, 2.4, 20)
-    rows.append(_near("marginal-consistency:sides-a", "pinned", 0.0,
-                      _marginal_a_deviation(side_points), 1e-5))
-    rows.append(_near("marginal-consistency:sides-b", "pinned", 0.0,
-                      _marginal_b_deviation(np.linspace(0.15, 1.9, 20)), 1e-5))
-    rows.append(_near("marginal-consistency:sides-c", "pinned", 0.0,
-                      _marginal_c_deviation(np.linspace(0.08, 1.4, 20)), 1e-5))
+    rows.append(_near_quadrature("marginal-consistency:sides-a", "pinned", 0.0,
+                                 _marginal_a_deviation(np.linspace(0.12, 2.4, 20)), 1e-5))
+    rows.append(_near_quadrature("marginal-consistency:sides-b", "pinned", 0.0,
+                                 _marginal_b_deviation(np.linspace(0.15, 1.9, 20)), 1e-5))
+    rows.append(_near_quadrature("marginal-consistency:sides-c", "pinned", 0.0,
+                                 _marginal_c_deviation(np.linspace(0.08, 1.4, 20)), 1e-5))
     dev_alpha, dev_beta, dev_staked = _angle_joint_deviations()
-    rows.append(_near("marginal-consistency:angles-alpha-uniform", "pinned",
-                      0.0, dev_alpha, 1e-6))
-    rows.append(_near("marginal-consistency:angles-beta-closed-form", "pinned",
-                      0.0, dev_beta, 1e-6))
-    rows.append(_near("marginal-consistency:staked-alpha-uniform", "staked",
-                      0.0, dev_staked, 1e-6))
-    rows.append(_near("marginal-consistency:uT-ratio-equals-side", "uniformT",
-                      0.0, _uT_ratio_identity_deviation(), 1e-12))
+    rows.append(_near_quadrature("marginal-consistency:angles-alpha-uniform", "pinned",
+                                 0.0, dev_alpha, 1e-6))
+    rows.append(_near_quadrature("marginal-consistency:angles-beta-closed-form", "pinned",
+                                 0.0, dev_beta, 1e-6))
+    rows.append(_near_quadrature("marginal-consistency:staked-alpha-uniform", "staked",
+                                 0.0, dev_staked, 1e-6))
+    rows.append(_near_quadrature("marginal-consistency:uT-ratio-equals-side", "uniformT",
+                                 0.0, _uT_ratio_identity_deviation(), 1e-12))
 
     # --- the KS matrix, extras, and negative controls --------------------------
     # the oracle (its own stream; its rows are reported below) is drawn

@@ -270,22 +270,20 @@ def test_pdf_usage_errors(argv):
 @pytest.mark.parametrize("point,expected", [
     ("nan,1", "nan"), ("1,nan", "nan"), ("inf,1", "0.0"), ("1,inf", "0.0"),
     ("1e300,1", "0.0"),
-    # thin or tiny triangles whose inner integral does not converge: a
-    # runtime failure, reported as one line
-    ("9.907021242543472e-06,1.5910789395764802", None),
-    ("0.5,8.871353193234626e-13", None),
-    ("9.23344621981387e-72,1.1558402139381194e-79", None),
+    # thin or tiny triangles; the values are the b-form mpmath reference
+    ("9.907021242543472e-06,1.5910789395764802", 1.0938943489309595e-07),
+    ("0.5,8.871353193234626e-13", 7.984091816282619e-12),
+    ("9.23344621981387e-72,1.1558402139381194e-79", 4.2132900822671584e-149),
 ])
 def test_pdf_pair_ac_edges_print_no_traceback(point, expected):
     code, out, err = run_cli(["pdf", "--kind", "pair_ac_integral",
                               "--points", point])
-    assert "Traceback" not in err
-    if expected is None:
-        assert code == 1
-        assert err.startswith("error:") and "did not converge" in err
+    assert code == 0 and err == ""
+    value = out.splitlines()[1].split(",")[-1]
+    if isinstance(expected, str):
+        assert value == expected
     else:
-        assert code == 0
-        assert out.splitlines()[1].split(",")[-1] == expected
+        assert float(value) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pdf_reaches_every_catalog_kind():
@@ -430,12 +428,15 @@ def test_unconverged_quadrature_fails_its_checks(monkeypatch):
 def test_unconverged_normalization_fails_its_checks(monkeypatch):
     def unconverged(integrate):
         def wrapped(*args, **kwargs):
-            return dataclasses.replace(integrate(*args, **kwargs), converged=False)
+            result = integrate(*args, **kwargs)  # one integral or a batch
+            return dataclasses.replace(result, converged=np.zeros_like(result.converged))
         return wrapped
 
-    # verify integrates the catalog densities by its own bindings, and the
-    # trivariate mass through moments._pinned_triple
+    # verify integrates by its own bindings, the trivariate mass through
+    # moments._pinned_triple and the truncated mean squares through
+    # moments.integrate_1d
     for module, name in ((verify, "integrate_1d"), (verify, "integrate_2d"),
+                         (verify, "integrate_batch"), (moments, "integrate_1d"),
                          (moments, "integrate_2d")):
         monkeypatch.setattr(module, name, unconverged(getattr(module, name)))
     rows = verify.run_suite(seed=2, **TINY_SIZES)
@@ -445,6 +446,11 @@ def test_unconverged_normalization_fails_its_checks(monkeypatch):
     # expected_ac integrates through moments.integrate_2d too
     (eac,) = [r for r in rows if r.check == "expected-ac:quadrature-vs-published-digits"]
     assert not eac.passed
+    quadrature = [r for r in rows if r.check.startswith(
+        ("special:", "acuteness:pinned-", "marginal-consistency:", "truncated-mean-square:",
+         "consistency:pair_ac"))]
+    assert len(quadrature) == 17
+    assert not any(r.passed for r in quadrature)
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -610,8 +616,14 @@ def test_benchmark_tracer_runs_verify(tracing):
 # a deliberate change of any of them re-pins here and says why in CHANGES.md
 PINNED_DIGESTS = [
     pytest.param(["verify", "--seed", "2", *TINY_VERIFY],
-                 "e7a6bbada918d0f1ad8839a8efede665488e45ab710a142545121380cf2cfe76",
+                 "d321b080a586a0e532ca69f609a05f9970ccd3fecdcf1a38da39460701c1dddd",
                  id="verify"),
+    pytest.param(["pdf", "--kind", "pair_ac_integral", "--points",
+                  "9.907021242543472e-06,1.5910789395764802;0.5,8.871353193234626e-13;"
+                  "9.23344621981387e-72,1.1558402139381194e-79;0.3,0.1;1.0,0.4;0.6,0.5;"
+                  "1.8,0.3;2.0,1.0;10.0,9.5;20.0,9.0"],
+                 "280689270f34fc55504858874e4df09e71facb8e81cdae266e61d22e29fa7cef",
+                 id="pdf-pair_ac"),
     *(pytest.param(["sample", "--family", family, "-n", "2000", "--seed", "7"],
                    digest, id=f"sample-{family}") for family, digest in [
         ("pinned", "7356a30300c3bf9d32e770f6c9b63a0bae7ab2dc9c06d80ad5b1be24f074047f"),

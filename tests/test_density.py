@@ -176,17 +176,13 @@ def test_density_contract_at_any_point(tag):
     @settings(max_examples=100, deadline=None, database=None)
     @given(point=_points(kind.arity))
     def check(point):
-        try:
-            value = kind.pdf(*point)
-        except density.QuadratureError:
-            # pdf_pair_ac's documented outcome where its inner integral
-            # cannot meet the tolerance
-            assert tag == "pair_ac_integral"
-            return
+        value = kind.pdf(*point)
         if any(math.isnan(x) for x in point):
             assert math.isnan(value), point
             return
         assert value == math.inf or (math.isfinite(value) and value >= 0.0), (point, value)
+        if tag == "pair_ac_integral":
+            assert value != math.inf, point
         if not all(lo < x < hi for x, (lo, hi) in zip(point, kind.support)):
             assert value == 0.0, (point, value)
 
@@ -502,21 +498,53 @@ def test_angle_marginal_endpoint_limits(marginal, joint, r):
 # integral-form pair density
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("a,c", [(1.0, 0.4), (0.6, 0.5), (1.8, 0.3)])
-def test_pair_ac_matches_high_precision_quadrature(a, c):
-    lo = max(c, a - c)
-    hi = a + c
-    lo2, hi2 = (a - c) ** 2, hi * hi
-
-    def f(b):
-        rad = (hi2 - b * b) * (b * b - lo2)
-        if rad <= 0:  # rounding can push tanh-sinh nodes past an endpoint
-            return mpmath.mpf(0)
-        return b * mpmath.exp(-mpmath.pi * b * b) / mpmath.sqrt(rad)
-
+def _pair_ac_reference(a: float, c: float) -> float:
+    """The (a, c) joint in the b variable at 40 digits: b exp(-pi b^2) over
+    sqrt(((a+c)^2 - b^2)(b^2 - (a-c)^2)) from max(c, a-c) to a+c.  The
+    integrand is scaled by exp(pi lo^2), so that mpmath's absolute error
+    test is meaningful at any size, and the range is split every
+    1/(2 pi lo) near lo, over which exp(-pi b^2) decays by about e."""
     with mpmath.workdps(40):
-        expected = float(8 * mpmath.pi * a * c * mpmath.quad(f, [lo, hi]))
-    assert density.pdf_pair_ac(a, c) == pytest.approx(expected, rel=1e-9)
+        a, c = mpmath.mpf(a), mpmath.mpf(c)
+        lo, hi = max(c, a - c), a + c
+        lo2, hi2 = (a - c) ** 2, hi * hi
+
+        def f(b):
+            rad = (hi2 - b * b) * (b * b - lo2)
+            if rad <= 0:  # rounding can push tanh-sinh nodes past an endpoint
+                return mpmath.mpf(0)
+            return b * mpmath.exp(-mpmath.pi * (b * b - lo * lo)) / mpmath.sqrt(rad)
+
+        step = 1 / (2 * mpmath.pi * lo)
+        cuts = [lo + k * step for k in (0.25, 1, 4, 16, 64) if lo + k * step < hi]
+        return float(8 * mpmath.pi * a * c * mpmath.exp(-mpmath.pi * lo * lo)
+                     * mpmath.quad(f, [lo, *cuts, hi]))
+
+
+# ordinary points; thin or tiny ones (the first three of them are where
+# an adaptive b integral did not converge); large 2 pi a c near a = c, at
+# a within 1e-15 relative of 2c (where beta0 -> 0) and at a > 2c
+PAIR_AC_POINTS = [
+    (1.0, 0.4), (0.6, 0.5), (1.8, 0.3),
+    (9.907021242543472e-06, 1.5910789395764802), (0.5, 8.871353193234626e-13),
+    (9.23344621981387e-72, 1.1558402139381194e-79), (0.01, 5.0), (5.0, 0.01),
+    (10.0, 9.5), (20.0, 9.0), (26.55, 13.10), (1.0 - 1e-15, 0.5), (1.0 + 1e-15, 0.5),
+    (18.0 - 4e-15, 9.0), (18.0 + 4e-15, 9.0), (12.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("a,c", PAIR_AC_POINTS)
+def test_pair_ac_matches_high_precision_quadrature(a, c):
+    value = density.pdf_pair_ac(a, c)
+    assert value == pytest.approx(_pair_ac_reference(a, c), rel=1e-12)
+    if a >= 2.0 * c:
+        # the b range is all of (a - c, a + c), where the integral is
+        # 4 pi^2 a c exp(-pi (a^2 + c^2)) I0(2 pi a c)
+        with mpmath.workdps(40):
+            a_, c_ = mpmath.mpf(a), mpmath.mpf(c)
+            closed = (4 * mpmath.pi ** 2 * a_ * c_ * mpmath.exp(-mpmath.pi * (a_ ** 2 + c_ ** 2))
+                      * mpmath.besseli(0, 2 * mpmath.pi * a_ * c_))
+        assert value == pytest.approx(float(closed), rel=1e-12)
 
 
 def test_pair_ac_outside_support():
