@@ -1,30 +1,31 @@
 """Deterministic verification suite: every headline number recomputed.
 
 :func:`run_suite` executes, for a fixed seed and worker count, the full
-battery behind the ``verify`` command: density normalizations, closed-form
-moment tables against quadrature and Monte Carlo, the two independent
-routes to E(ac), the acuteness probabilities, divergence flags, marginal
-consistency of the joint densities, the sampler-vs-density KS matrix with
-negative controls, the literal point-process oracle comparison, chi-square
-region tests, and a determinism self-check.  Each check is one
-:class:`CheckResult`.
+battery behind the ``verify`` command as an ordered tuple of check groups,
+``_GROUPS``: geometry, special functions, normalizations, the moment table
+and reference decimals by quadrature with E(ac), divergence flags,
+acuteness, Monte Carlo, marginal consistency, distributions (the KS matrix
+with negative controls, the point-process oracle, chi-square region tests)
+and determinism.  Each group is a function of one shared :class:`_Suite`
+record that returns its rows, one :class:`CheckResult` per check.
 
 The suite is pure given (seed, sizes): reports from two identical
 invocations compare equal, for any worker count.  The Monte Carlo group
-draws only from its own streams, so with more than one worker it runs in
+draws only from its own streams, so with more than one worker it draws in
 one worker process (on ``workers`` threads) while the calling process runs
-every other group; its rows keep their place in the report.
+every other group.  Its estimates are collected after every other group;
+its rows keep their place in the report.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import math
 # ThreadPoolExecutor stays bound here for the benchmark's tracer (perfbench/tracing.py).
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -159,9 +160,10 @@ def _pair_ac_pointwise_deviation() -> IntegralResult:
     return _deviation(r, pdf_pair_ac(a, c))
 
 
-def _marginal_a_deviation(points: np.ndarray) -> IntegralResult:
+def _marginal_a_deviation() -> IntegralResult:
     """Trivariate -> a: integrate the (a, c) reduction over c and compare
     with the closed-form a density."""
+    points = np.linspace(0.12, 2.4, 20)
     c_hi = gaussian_tail_cutoff(_PI, 2, 1e-11)
     r = integrate_batch(lambda cs, k: pdf_pair_ac(points[k], cs),
                         np.zeros_like(points), np.full_like(points, c_hi),
@@ -179,8 +181,9 @@ def _sides_joint_over_a(b: np.ndarray, c: np.ndarray, inner: list) -> np.ndarray
     return inner[-1].value
 
 
-def _marginal_b_deviation(points: np.ndarray) -> IntegralResult:
+def _marginal_b_deviation() -> IntegralResult:
     """Trivariate -> b: inner a, then c over (0, b)."""
+    points = np.linspace(0.15, 1.9, 20)
     inner = []
     r = integrate_batch(lambda cs, k: _sides_joint_over_a(points[k], cs, inner),
                         np.zeros_like(points), points,
@@ -188,8 +191,9 @@ def _marginal_b_deviation(points: np.ndarray) -> IntegralResult:
     return _deviation(r, pdf_pinned_b(points), inner)
 
 
-def _marginal_c_deviation(points: np.ndarray) -> IntegralResult:
+def _marginal_c_deviation() -> IntegralResult:
     """Trivariate -> c: inner a, then b over (c, infinity-proxy)."""
+    points = np.linspace(0.08, 1.4, 20)
     b_hi = gaussian_tail_cutoff(_PI, 3, 1e-12)
     inner = []
     r = integrate_batch(lambda bs, k: _sides_joint_over_a(bs, points[k], inner),
@@ -234,9 +238,9 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
               alpha: float = 0.001, inject_failure: str | None = None) -> list[CheckResult]:
     """Run every check; see the module docstring for the groups.
 
-    The Monte Carlo estimates are collected last: with ``workers > 1`` from
-    one worker process started before the first quadrature group, else
-    drawn here.  The report is the same for every worker count.
+    The Monte Carlo estimates are collected after every other group: with
+    ``workers > 1`` from one worker process started before the first group,
+    else drawn here.  The report is the same for every worker count.
     """
     if mc_samples < 1000 or big_mc_samples < 1000 or ks_samples < 1000:
         raise ValueError("sample sizes must be at least 1000")
@@ -251,11 +255,151 @@ def run_suite(seed: int = 2, workers: int = 1, mc_samples: int = 1_000_000,
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=1))
             estimates = pool.submit(_monte_carlo_estimates, *draws).result
         else:
-            estimates = functools.partial(_monte_carlo_estimates, *draws)
-        rows, at, expected = _rows_around_monte_carlo(seed, ks_samples, alpha)
-        rows[at:at] = _monte_carlo_rows(estimates(), *expected)
+            estimates = lambda: _monte_carlo_estimates(*draws)
+        suite = _Suite(seed, ks_samples, alpha, estimates)
+        by_group = {group: group(suite) for group in _GROUPS if group is not _monte_carlo_rows}
+        by_group[_monte_carlo_rows] = _monte_carlo_rows(suite)
+    rows = [row for group in _GROUPS for row in by_group[group]]
     if inject_failure is not None:
         rows = _inject(rows, inject_failure)
+    return rows
+
+
+@dataclass
+class _Suite:
+    """What the groups share: the settings, a call that returns (or waits
+    for) the Monte Carlo estimates, and the moment-table group's quadrature."""
+
+    seed: int
+    ks_samples: int
+    alpha: float
+    estimates: Callable[[], dict[str, moments.MonteCarloEstimate]]
+    quadrature: dict[moments.MomentTarget, IntegralResult] = field(default_factory=dict)
+    expected_ac: moments.ExpectedAc | None = None
+
+
+def _geometry_rows(suite: _Suite) -> list[CheckResult]:
+    """Triangle geometry on hand-checkable triangles."""
+    right = angles_from_sides(np.array([[5.0, 4.0, 3.0]]))
+    # unit base, base angles 0.7 and 1.1, other sides by the law of sines
+    s = math.sin(0.7 + 1.1)
+    back = angles_from_sides(np.array([[math.sin(0.7) / s, math.sin(1.1) / s, 1.0]]))
+    return [_near("geometry:right-angle-3-4-5", "pinned", 0.5 * _PI, right[0, 0], 1e-12),
+            _near("geometry:area-3-4-5", "pinned", 6.0,
+                  math.sqrt(heron_product(5.0, 4.0, 3.0)) / 4.0, 1e-12),
+            _near("geometry:angle-side-round-trip", "pinned", 0.7, back[0, 0], 1e-12)]
+
+
+def _special_rows(suite: _Suite) -> list[CheckResult]:
+    """Special functions against independent integral forms."""
+    spec10 = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
+    i0_quad = integrate_1d(lambda t: np.exp(0.5 * _PI * np.cos(t)) / _PI,
+                           0.0, _PI, spec10)
+    erfc_quad = integrate_1d(lambda t: (2.0 / math.sqrt(_PI)) * np.exp(-t * t),
+                             1.0, 10.0, spec10)
+    catalan_quad = integrate_1d(lambda t: -np.log(np.maximum(t, 1e-300)) / (1.0 + t * t),
+                                0.0, 1.0, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
+                                                         singularity="left"))
+    return [_near_quadrature("special:bessel-i0-integral-form", "-",
+                             bessel_i0(0.5 * _PI), i0_quad, 1e-12),
+            _near_quadrature("special:erfc-integral-form", "-", erfc(1.0), erfc_quad, 1e-13),
+            _near_quadrature("special:catalan-integral-form", "-", CATALAN,
+                             catalan_quad, 1e-10)]
+
+
+def _normalization_rows(suite: _Suite) -> list[CheckResult]:
+    """Every catalog density has mass 1; the (a, c) joint is the trivariate one over b."""
+    rows = []
+    for tag, kind in sorted(CATALOG.items()):
+        if kind.arity == 1:
+            tol = 1e-6 if kind.singular_points else 1e-8
+            mass = _univariate_mass(kind, 0.1 * tol)
+            rows.append(_near_quadrature(f"normalization:{tag}", kind.family, 1.0, mass, tol))
+
+    def mass_2d(tag: str, pdf, hi: float, inner) -> CheckResult:
+        mass = integrate_2d(pdf, 0.0, hi, inner, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+        return _near_quadrature(f"normalization:{tag}", CATALOG[tag].family, 1.0, mass, 1e-8)
+
+    b_hi = gaussian_tail_cutoff(_PI, 5, 1e-11)
+    rows.append(mass_2d("pair_ab", lambda b, a: CATALOG["pair_ab"].pdf(a, b), b_hi,
+                        lambda b: (0.0, 2.0 * b)))
+    rows.append(mass_2d("pair_bc", lambda b, c: CATALOG["pair_bc"].pdf(b, c), b_hi,
+                        lambda b: (0.0, b)))
+    rows.append(_near_quadrature("normalization:pair_ac_integral", "pinned", 1.0,
+                                 _pair_ac_mass(1e-7), 1e-6))
+    rows.append(_near_quadrature("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
+                                 0.0, _pair_ac_pointwise_deviation(), 1e-8))
+    rows.append(mass_2d("pinned_angles_joint", pdf_pinned_angles_joint, _PI,
+                        lambda a: (0.5 * (_PI - a), _PI - a)))
+    for tag, joint in (("staked_angles_joint", pdf_staked_angles_joint),
+                       ("anchored_angles_joint", pdf_anchored_angles_joint)):
+        rows.append(mass_2d(tag, joint, _PI, lambda a: (0.0, _PI - a)))
+    (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a), 0,
+                                         tol=3e-7, pieces=("full",))
+    rows.append(_near_quadrature("normalization:pinned_sides_joint", "pinned", 1.0,
+                                 tri_mass, 1e-6))
+    return rows
+
+
+def _moment_table_rows(suite: _Suite) -> list[CheckResult]:
+    """Closed-form cells and Table 2/3 reference decimals by quadrature, kept
+    in ``suite`` for the Monte Carlo group, then E(ac)'s published digits."""
+    table, reference = [], []
+    for target in moments.targets():
+        closed, ref = moments.closed_form(target), moments.reference_value(target)
+        name = f"{target.family}:{target.quantity}:{target.statistic}"
+        if closed not in (None, math.inf):
+            q = suite.quadrature[target] = moments.by_quadrature(target, tol=1e-8)
+            table.append(_near_quadrature(f"table:{name}:quadrature", target.family,
+                                          closed, q, 1e-6))
+        elif closed is None and ref is not None:
+            q = suite.quadrature[target] = moments.by_quadrature(target, tol=1e-8)
+            reference.append(_near_quadrature(f"reference:{name}", target.family, ref, q, 1e-6))
+    suite.expected_ac = moments.expected_ac(tol=1e-7)
+    return [*table, *reference,
+            _near_quadrature("expected-ac:quadrature-vs-published-digits", "pinned",
+                             0.49181215, suite.expected_ac, 1e-7)]
+
+
+def _divergence_rows(suite: _Suite) -> list[CheckResult]:
+    """Divergent mean squares flagged by every route; truncated, they grow like log."""
+    rows = []
+    for quantity in ("b/a", "b/c", "c/a", "a/c"):
+        target = moments.MomentTarget("pinned", quantity, "mean-square")
+        closed_inf = math.isinf(moments.closed_form(target))
+        try:
+            moments.by_quadrature(target, tol=1e-8)
+            quad_raises = False
+        except moments.DivergenceError:
+            quad_raises = True
+        mc = moments.by_monte_carlo(target, 1000, RandomStream(suite.seed, 2000))
+        rows.append(_flag(f"divergence-flag:{quantity}:mean-square", "pinned",
+                          closed_inf and quad_raises and mc.divergent))
+    target_bc = moments.MomentTarget("pinned", "b/c", "mean-square")
+    for cutoff in (10.0, 100.0, 1000.0):
+        truncated = moments.truncated_mean_square(target_bc, cutoff)
+        rows.append(_near_quadrature(f"truncated-mean-square:b/c:M={int(cutoff)}", "pinned",
+                                     2.0 * math.log(cutoff), truncated, 1e-10))
+    return rows
+
+
+def _acuteness_rows(suite: _Suite) -> list[CheckResult]:
+    """Pinned obtuseness by obtuse angle; staked and anchored closed forms by quadrature."""
+    rows = []
+    spec8 = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    for name, angle_pdf, part, tol in zip(
+            ("alpha-obtuse-half", "beta-obtuse-quarter", "gamma-never-obtuse"),
+            (pdf_pinned_alpha, pdf_pinned_beta, pdf_pinned_gamma),
+            moments.PINNED_OBTUSE_PARTS, (1e-8, 1e-8, 1e-12)):
+        p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8)
+        rows.append(_near_quadrature(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
+    for family in ("staked", "anchored"):
+        rows.append(_near(f"acuteness:{family}-closed-vs-quadrature", family,
+                          moments.acuteness(family, "closed"),
+                          moments.acuteness(family, "quadrature", tol=1e-9), 1e-8))
+    rows.append(_flag("acuteness:anchored-exceeds-staked", "anchored",
+                      moments.acuteness("anchored", "closed")
+                      > moments.acuteness("staked", "closed")))
     return rows
 
 
@@ -307,211 +451,67 @@ def _monte_carlo_estimates(seed: int, workers: int, mc_samples: int,
     return estimates
 
 
-def _monte_carlo_rows(mc: dict[str, moments.MonteCarloEstimate],
-                      quad_values: dict[tuple[str, str, str], float],
-                      ref_values: dict[moments.MomentTarget, float],
-                      eac: float) -> list[CheckResult]:
-    """The Monte Carlo group's rows, in report order: each estimate against
-    the quadrature, closed or reference value within three standard errors."""
+def _monte_carlo_rows(suite: _Suite) -> list[CheckResult]:
+    """Each Monte Carlo estimate against its reference value within three sigma."""
+    mc = suite.estimates()
+
     def near(name: str, family: str, expected: float, floor: float = 0.0) -> CheckResult:
         return _near(name, family, expected, mc[name].value,
                      max(3.0 * mc[name].std_error, floor))
 
     rows = [near(f"monte-carlo:pinned:{quantity}:{statistic}", "pinned",
-                 quad_values[("pinned", quantity, statistic)])
+                 suite.quadrature[moments.MomentTarget("pinned", quantity, statistic)].value)
             for quantity, statistic in _pinned_cells()]
     rows.append(near("monte-carlo:pinned:obtuseness", "pinned", 0.75))
     corr_closed = moments.correlation_ab()
     rows.append(_near("correlation:pinned-ab-closed-vs-published", "pinned",
                       0.636, corr_closed, 1e-3))
     rows.append(near("correlation:pinned-ab-monte-carlo", "pinned", corr_closed, 1e-3))
-    rows.append(near("expected-ac:monte-carlo-vs-quadrature", "pinned", eac))
+    rows.append(near("expected-ac:monte-carlo-vs-quadrature", "pinned", suite.expected_ac.value))
     for family, quantity, _ in _SMALL_GROUPS:
         rows.append(near(f"monte-carlo:{family}:{quantity}:mean", family,
-                         ref_values[moments.MomentTarget(family, quantity, "mean")]))
+                         suite.quadrature[moments.MomentTarget(family, quantity, "mean")].value))
         if quantity != "alphabeta":
             rows.append(near(f"acuteness:{family}-monte-carlo", family,
                              moments.acuteness(family, "closed")))
     return rows
 
 
-def _rows_around_monte_carlo(seed: int, ks_samples: int,
-                             alpha: float) -> tuple[list[CheckResult], int, tuple]:
-    """Every group but Monte Carlo, in report order.  Returns the rows, the
-    index at which the Monte Carlo rows go, and the quadrature values they
-    are compared against (see :func:`_monte_carlo_rows`)."""
-    rows: list[CheckResult] = []
+def _marginal_consistency_rows(suite: _Suite) -> list[CheckResult]:
+    """Joint densities reduced numerically against their closed marginals."""
+    alpha, beta, staked = _angle_joint_deviations()
+    return [_near_quadrature(f"marginal-consistency:{name}", family, 0.0, deviation, tol)
+            for name, family, deviation, tol in (
+                ("sides-a", "pinned", _marginal_a_deviation(), 1e-5),
+                ("sides-b", "pinned", _marginal_b_deviation(), 1e-5),
+                ("sides-c", "pinned", _marginal_c_deviation(), 1e-5),
+                ("angles-alpha-uniform", "pinned", alpha, 1e-6),
+                ("angles-beta-closed-form", "pinned", beta, 1e-6),
+                ("staked-alpha-uniform", "staked", staked, 1e-6),
+                ("uT-ratio-equals-side", "uniformT", _uT_ratio_identity_deviation(), 1e-12))]
 
-    # --- geometry sanity ---------------------------------------------------
-    right = angles_from_sides(np.array([[5.0, 4.0, 3.0]]))
-    rows.append(_near("geometry:right-angle-3-4-5", "pinned", 0.5 * _PI,
-                      right[0, 0], 1e-12))
-    rows.append(_near("geometry:area-3-4-5", "pinned", 6.0,
-                      math.sqrt(heron_product(5.0, 4.0, 3.0)) / 4.0, 1e-12))
-    # unit base, base angles 0.7 and 1.1, other sides by the law of sines
-    s = math.sin(0.7 + 1.1)
-    back = angles_from_sides(np.array([[math.sin(0.7) / s, math.sin(1.1) / s, 1.0]]))
-    rows.append(_near("geometry:angle-side-round-trip", "pinned", 0.7,
-                      back[0, 0], 1e-12))
 
-    # --- special functions against independent integral forms --------------
-    spec10 = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-    i0_quad = integrate_1d(lambda t: np.exp(0.5 * _PI * np.cos(t)) / _PI,
-                           0.0, _PI, spec10)
-    rows.append(_near_quadrature("special:bessel-i0-integral-form", "-",
-                                 bessel_i0(0.5 * _PI), i0_quad, 1e-12))
-    erfc_quad = integrate_1d(lambda t: (2.0 / math.sqrt(_PI)) * np.exp(-t * t),
-                             1.0, 10.0, spec10)
-    rows.append(_near_quadrature("special:erfc-integral-form", "-", erfc(1.0),
-                                 erfc_quad, 1e-13))
-    catalan_quad = integrate_1d(lambda t: -np.log(np.maximum(t, 1e-300)) / (1.0 + t * t),
-                                0.0, 1.0, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
-                                                         singularity="left"))
-    rows.append(_near_quadrature("special:catalan-integral-form", "-", CATALAN,
-                                 catalan_quad, 1e-10))
+# the KS negative controls: (name, sampled family, statistic, wrong catalog kind)
+_KS_CONTROLS = (("pinned-b-vs-c-density", "pinned", "b", "pinned_c"),
+                ("staked-beta-vs-anchored-density", "staked", "beta", "anchored_alpha"))
 
-    # --- normalization ------------------------------------------------------
-    for tag in sorted(CATALOG):
-        kind = CATALOG[tag]
-        if kind.arity != 1:
-            continue
-        tol = 1e-6 if kind.singular_points else 1e-8
-        mass = _univariate_mass(kind, 0.1 * tol)
-        rows.append(_near_quadrature(f"normalization:{tag}", kind.family, 1.0, mass, tol))
-    b_hi = gaussian_tail_cutoff(_PI, 5, 1e-11)
-    mass_ab = integrate_2d(lambda b, a: CATALOG["pair_ab"].pdf(a, b),
-                           0.0, b_hi, lambda b: (0.0, 2.0 * b),
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-    rows.append(_near_quadrature("normalization:pair_ab", "pinned", 1.0, mass_ab, 1e-8))
-    mass_bc = integrate_2d(lambda b, c: CATALOG["pair_bc"].pdf(b, c),
-                           0.0, b_hi, lambda b: (0.0, b),
-                           QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-    rows.append(_near_quadrature("normalization:pair_bc", "pinned", 1.0, mass_bc, 1e-8))
-    rows.append(_near_quadrature("normalization:pair_ac_integral", "pinned", 1.0,
-                                 _pair_ac_mass(1e-7), 1e-6))
-    rows.append(_near_quadrature("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
-                                 0.0, _pair_ac_pointwise_deviation(), 1e-8))
-    mass_angles = integrate_2d(pdf_pinned_angles_joint, 0.0, _PI,
-                               lambda a: (0.5 * (_PI - a), _PI - a),
-                               QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-    rows.append(_near_quadrature("normalization:pinned_angles_joint", "pinned", 1.0,
-                                 mass_angles, 1e-8))
-    for tag, joint in (("staked_angles_joint", pdf_staked_angles_joint),
-                       ("anchored_angles_joint", pdf_anchored_angles_joint)):
-        mass = integrate_2d(joint, 0.0, _PI, lambda a: (0.0, _PI - a),
-                            QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
-        rows.append(_near_quadrature(f"normalization:{tag}", CATALOG[tag].family, 1.0,
-                                     mass, 1e-8))
-    (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a), 0,
-                                         tol=3e-7, pieces=("full",))
-    rows.append(_near_quadrature("normalization:pinned_sides_joint", "pinned", 1.0,
-                                 tri_mass, 1e-6))
 
-    # --- closed-form moment tables: quadrature ------------------------------
-    quad_values: dict[tuple[str, str, str], float] = {}
-    for target in moments.targets():
-        closed = moments.closed_form(target)
-        if closed is None or math.isinf(closed):
-            continue
-        q = moments.by_quadrature(target, tol=1e-8)
-        quad_values[(target.family, target.quantity, target.statistic)] = q.value
-        rows.append(_near_quadrature(
-            f"table:{target.family}:{target.quantity}:{target.statistic}:quadrature",
-            target.family, closed, q, 1e-6))
-
-    # --- Table 2/3 reference decimals ---------------------------------------
-    ref_values: dict[moments.MomentTarget, float] = {}
-    for target in moments.targets():
-        ref = moments.reference_value(target)
-        if ref is None or moments.closed_form(target) is not None:
-            continue
-        q = moments.by_quadrature(target, tol=1e-8)
-        ref_values[target] = q.value
-        rows.append(_near_quadrature(
-            f"reference:{target.family}:{target.quantity}:{target.statistic}",
-            target.family, ref, q, 1e-6))
-
-    # --- two routes to E(ac) -------------------------------------------------
-    eac = moments.expected_ac(tol=1e-7)
-    rows.append(_near_quadrature("expected-ac:quadrature-vs-published-digits", "pinned",
-                                 0.49181215, eac, 1e-7))
-
-    # --- divergence ----------------------------------------------------------
-    for quantity in ("b/a", "b/c", "c/a", "a/c"):
-        target = moments.MomentTarget("pinned", quantity, "mean-square")
-        closed_inf = math.isinf(moments.closed_form(target))
-        try:
-            moments.by_quadrature(target, tol=1e-8)
-            quad_raises = False
-        except moments.DivergenceError:
-            quad_raises = True
-        mc = moments.by_monte_carlo(target, 1000, RandomStream(seed, 2000))
-        rows.append(_flag(f"divergence-flag:{quantity}:mean-square", "pinned",
-                          closed_inf and quad_raises and mc.divergent))
-    target_bc = moments.MomentTarget("pinned", "b/c", "mean-square")
-    for cutoff in (10.0, 100.0, 1000.0):
-        truncated = moments.truncated_mean_square(target_bc, cutoff)
-        rows.append(_near_quadrature(f"truncated-mean-square:b/c:M={int(cutoff)}", "pinned",
-                                     2.0 * math.log(cutoff), truncated, 1e-10))
-
-    # --- acuteness: exact decompositions and closed forms --------------------
-    spec8 = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    for name, angle_pdf, part, tol in zip(
-            ("alpha-obtuse-half", "beta-obtuse-quarter", "gamma-never-obtuse"),
-            (pdf_pinned_alpha, pdf_pinned_beta, pdf_pinned_gamma),
-            moments.PINNED_OBTUSE_PARTS, (1e-8, 1e-8, 1e-12)):
-        p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8)
-        rows.append(_near_quadrature(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
-    staked_closed = moments.acuteness("staked", "closed")
-    anchored_closed = moments.acuteness("anchored", "closed")
-    rows.append(_near("acuteness:staked-closed-vs-quadrature", "staked",
-                      staked_closed, moments.acuteness("staked", "quadrature", tol=1e-9),
-                      1e-8))
-    rows.append(_near("acuteness:anchored-closed-vs-quadrature", "anchored",
-                      anchored_closed, moments.acuteness("anchored", "quadrature", tol=1e-9),
-                      1e-8))
-    rows.append(_flag("acuteness:anchored-exceeds-staked", "anchored",
-                      anchored_closed > staked_closed))
-
-    monte_carlo_at = len(rows)
-
-    # --- marginal consistency -------------------------------------------------
-    rows.append(_near_quadrature("marginal-consistency:sides-a", "pinned", 0.0,
-                                 _marginal_a_deviation(np.linspace(0.12, 2.4, 20)), 1e-5))
-    rows.append(_near_quadrature("marginal-consistency:sides-b", "pinned", 0.0,
-                                 _marginal_b_deviation(np.linspace(0.15, 1.9, 20)), 1e-5))
-    rows.append(_near_quadrature("marginal-consistency:sides-c", "pinned", 0.0,
-                                 _marginal_c_deviation(np.linspace(0.08, 1.4, 20)), 1e-5))
-    dev_alpha, dev_beta, dev_staked = _angle_joint_deviations()
-    rows.append(_near_quadrature("marginal-consistency:angles-alpha-uniform", "pinned",
-                                 0.0, dev_alpha, 1e-6))
-    rows.append(_near_quadrature("marginal-consistency:angles-beta-closed-form", "pinned",
-                                 0.0, dev_beta, 1e-6))
-    rows.append(_near_quadrature("marginal-consistency:staked-alpha-uniform", "staked",
-                                 0.0, dev_staked, 1e-6))
-    rows.append(_near_quadrature("marginal-consistency:uT-ratio-equals-side", "uniformT",
-                                 0.0, _uT_ratio_identity_deviation(), 1e-12))
-
-    # --- the KS matrix, extras, and negative controls --------------------------
+def _distribution_rows(suite: _Suite) -> list[CheckResult]:
+    """The sampler against the catalog: the KS matrix and its negative
+    controls, the literal point-process oracle and the chi-square region
+    tests, all on one batch per family."""
+    rows, seed, alpha = [], suite.seed, suite.alpha
     # the oracle (its own stream; its rows are reported below) is drawn
     # first, so its peak memory does not stack on the KS batches
-    oracle = sample_pinned_oracle_batch(ks_samples, RandomStream(seed, 2100))
+    oracle = sample_pinned_oracle_batch(suite.ks_samples, RandomStream(seed, 2100))
     tags = [tag for tag, _, _ in KS_MATRIX] + ["uT_max", "uT_min"]
-    batches, reports = ks_battery(ks_samples, seed, tags, alpha)
+    batches, reports = ks_battery(suite.ks_samples, seed, tags, alpha)
     for tag, report in zip(tags, reports):
         rows.append(_gof(f"ks:{tag}", CATALOG[tag].family, report))
-    neg1 = ks_one_sample(EmpiricalSample.from_values(batches["pinned"].statistic("b"),
-                                                     "pinned:b"),
-                         "pinned_c", alpha)
-    rows.append(_gof("ks-negative-control:pinned-b-vs-c-density", "pinned", neg1,
-                     reject=True))
-    neg2 = ks_one_sample(EmpiricalSample.from_values(batches["staked"].statistic("beta"),
-                                                     "staked:beta"),
-                         "anchored_alpha", alpha)
-    rows.append(_gof("ks-negative-control:staked-beta-vs-anchored-density", "staked",
-                     neg2, reject=True))
-
-    # --- the literal point-process oracle ---------------------------------------
+    for name, family, statistic, kind in _KS_CONTROLS:
+        wrong = ks_one_sample(EmpiricalSample.from_values(
+            batches[family].statistic(statistic), f"{family}:{statistic}"), kind, alpha)
+        rows.append(_gof(f"ks-negative-control:{name}", family, wrong, reject=True))
     for statistic in ("a", "b", "c"):
         direct = EmpiricalSample.from_values(batches["pinned"].statistic(statistic),
                                              f"pinned:{statistic}")
@@ -519,37 +519,35 @@ def _rows_around_monte_carlo(seed: int, ks_samples: int,
                                               f"oracle:{statistic}")
         rows.append(_gof(f"oracle-ks:{statistic}", "pinned",
                          ks_two_sample(direct, literal, alpha)))
-
-    # --- chi-square region tests --------------------------------------------------
-    ut_angles = batches["uniformT"].angles[:, :2]
     uniform_pdf = lambda x, y: np.where((x > 0.0) & (y > 0.0) & (x + y < _PI),
                                         2.0 / (_PI * _PI), 0.0)
-    # rectangle strictly inside the support, so every cell probability is
-    # exact and the discontinuous edge sits wholly in the pooled outside cell
-    r = chi_square_region(ut_angles, uniform_pdf, bins=10, alpha=alpha,
-                          bounds=((0.1, 1.5), (0.1, 1.5)))
-    rows.append(_gof("chi-square:uT-angles-uniform", "uniformT", r))
-    # the angle joints blow up like 1/r at the origin, so keep the grid in
-    # the smooth interior; the pooled outside cell balances the rest exactly
-    staked_angles = batches["staked"].angles[:, :2]
-    staked_bounds = ((0.15, 1.5), (0.15, 1.5))
-    r = chi_square_region(staked_angles, pdf_staked_angles_joint, bins=10,
-                          alpha=alpha, bounds=staked_bounds)
-    rows.append(_gof("chi-square:staked-angles-joint", "staked", r))
-    r = chi_square_region(staked_angles, pdf_anchored_angles_joint, bins=10,
-                          alpha=alpha, bounds=staked_bounds)
-    rows.append(_gof("chi-square-negative-control:staked-vs-anchored", "staked", r,
-                     reject=True))
+    # grids on [low, 1.5]^2: the uT one strictly inside the support, so the
+    # discontinuous edge sits wholly in the pooled outside cell; the angle
+    # joints' away from their 1/r blow-up at the origin
+    for name, family, pdf, low, reject in (
+            ("chi-square:uT-angles-uniform", "uniformT", uniform_pdf, 0.1, False),
+            ("chi-square:staked-angles-joint", "staked", pdf_staked_angles_joint, 0.15, False),
+            ("chi-square-negative-control:staked-vs-anchored", "staked",
+             pdf_anchored_angles_joint, 0.15, True)):
+        r = chi_square_region(batches[family].angles[:, :2], pdf, bins=10, alpha=alpha,
+                              bounds=((low, 1.5), (low, 1.5)))
+        rows.append(_gof(name, family, r, reject))
+    return rows
 
-    # --- determinism ---------------------------------------------------------------
-    dumps = []
-    for _ in range(2):
-        buffer = io.StringIO()
-        sample_batch("pinned", 1000, RandomStream(seed, 2200)).write_csv(buffer)
-        dumps.append(buffer.getvalue())
-    rows.append(_flag("determinism:repeated-sample-dump-identical", "pinned",
-                      dumps[0] == dumps[1]))
-    return rows, monte_carlo_at, (quad_values, ref_values, eac.value)
+
+def _determinism_rows(suite: _Suite) -> list[CheckResult]:
+    """Two dumps of the same sample stream are byte-identical."""
+    dumps = [io.StringIO(), io.StringIO()]
+    for buffer in dumps:
+        sample_batch("pinned", 1000, RandomStream(suite.seed, 2200)).write_csv(buffer)
+    return [_flag("determinism:repeated-sample-dump-identical", "pinned",
+                  dumps[0].getvalue() == dumps[1].getvalue())]
+
+
+# every check group, in report order; run_suite runs the Monte Carlo group last
+_GROUPS = (_geometry_rows, _special_rows, _normalization_rows, _moment_table_rows,
+           _divergence_rows, _acuteness_rows, _monte_carlo_rows,
+           _marginal_consistency_rows, _distribution_rows, _determinism_rows)
 
 
 def _inject(rows: list[CheckResult], check_name: str) -> list[CheckResult]:
