@@ -410,21 +410,15 @@ def correlation_ab() -> float:
                                    / ((-64.0 + 27.0 * _PI) * _PI))
 
 
-def acuteness(family: str, method: str = "closed", *, tol: float = 1e-10) -> float:
-    """P(triangle is acute) by closed form or by quadrature of the angle joint."""
+def acuteness(family: str, tol: float = 1e-10) -> IntegralResult:
+    """P(triangle is acute) by quadrature of the angle joint over the acute
+    region; ``ACUTENESS_CLOSED`` holds the closed forms."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if method == "closed":
-        return ACUTENESS_CLOSED[family]
-    if method == "quadrature":
-        joint = density.CATALOG[f"{family}_angles_joint"].pdf
-        spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol,
-                              max_subdivisions=200)
-        half = _PI / 2.0
-        r = integrate_2d(joint, 0.0, half,
-                         lambda x: (half - x, np.full_like(x, half)), spec)
-        return r.value
-    raise ValueError(f"method must be closed|quadrature: {method!r}")
+    joint = density.CATALOG[f"{family}_angles_joint"].pdf
+    spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=200)
+    half = _PI / 2.0
+    return integrate_2d(joint, 0.0, half, lambda x: (half - x, np.full_like(x, half)), spec)
 
 
 def moment_report(target: MomentTarget, tol: float = 1e-8, n: int = 10**5,

@@ -393,13 +393,12 @@ def _acuteness_rows(suite: _Suite) -> list[CheckResult]:
             moments.PINNED_OBTUSE_PARTS, (1e-8, 1e-8, 1e-12)):
         p_obtuse = integrate_1d(angle_pdf, 0.5 * _PI, _PI, spec8)
         rows.append(_near_quadrature(f"acuteness:pinned-{name}", "pinned", part, p_obtuse, tol))
+    closed = moments.ACUTENESS_CLOSED
     for family in ("staked", "anchored"):
-        rows.append(_near(f"acuteness:{family}-closed-vs-quadrature", family,
-                          moments.acuteness(family, "closed"),
-                          moments.acuteness(family, "quadrature", tol=1e-9), 1e-8))
+        rows.append(_near_quadrature(f"acuteness:{family}-closed-vs-quadrature", family,
+                                     closed[family], moments.acuteness(family, tol=1e-9), 1e-8))
     rows.append(_flag("acuteness:anchored-exceeds-staked", "anchored",
-                      moments.acuteness("anchored", "closed")
-                      > moments.acuteness("staked", "closed")))
+                      closed["anchored"] > closed["staked"]))
     return rows
 
 
@@ -473,7 +472,7 @@ def _monte_carlo_rows(suite: _Suite) -> list[CheckResult]:
                          suite.quadrature[moments.MomentTarget(family, quantity, "mean")].value))
         if quantity != "alphabeta":
             rows.append(near(f"acuteness:{family}-monte-carlo", family,
-                             moments.acuteness(family, "closed")))
+                             moments.ACUTENESS_CLOSED[family]))
     return rows
 
 

@@ -432,9 +432,9 @@ def test_unconverged_normalization_fails_its_checks(monkeypatch):
             return dataclasses.replace(result, converged=np.zeros_like(result.converged))
         return wrapped
 
-    # verify integrates by its own bindings, the trivariate mass through
-    # moments._pinned_triple and the truncated mean squares through
-    # moments.integrate_1d
+    # verify integrates by its own bindings, the trivariate mass and the
+    # staked/anchored acuteness through moments.integrate_2d and the
+    # truncated mean squares through moments.integrate_1d
     for module, name in ((verify, "integrate_1d"), (verify, "integrate_2d"),
                          (verify, "integrate_batch"), (moments, "integrate_1d"),
                          (moments, "integrate_2d")):
@@ -447,9 +447,9 @@ def test_unconverged_normalization_fails_its_checks(monkeypatch):
     (eac,) = [r for r in rows if r.check == "expected-ac:quadrature-vs-published-digits"]
     assert not eac.passed
     quadrature = [r for r in rows if r.check.startswith(
-        ("special:", "acuteness:pinned-", "marginal-consistency:", "truncated-mean-square:",
-         "consistency:pair_ac"))]
-    assert len(quadrature) == 17
+        ("special:", "acuteness:pinned-", "acuteness:staked-closed", "acuteness:anchored-closed",
+         "marginal-consistency:", "truncated-mean-square:", "consistency:pair_ac"))]
+    assert len(quadrature) == 19
     assert not any(r.passed for r in quadrature)
 
 
