@@ -161,14 +161,17 @@ def _pair_ac_pointwise_deviation() -> IntegralResult:
 
 
 def _marginal_a_deviation() -> IntegralResult:
-    """Trivariate -> a: integrate the (a, c) reduction over c and compare
-    with the closed-form a density."""
+    """Trivariate -> a: the (a, c) reduction integrated over c, split at its
+    square-root kink c = a/2, against the closed-form a density."""
     points = np.linspace(0.12, 2.4, 20)
+    a, split = np.tile(points, 2), 0.5 * points
     c_hi = gaussian_tail_cutoff(_PI, 2, 1e-11)
-    r = integrate_batch(lambda cs, k: pdf_pair_ac(points[k], cs),
-                        np.zeros_like(points), np.full_like(points, c_hi),
+    r = integrate_batch(lambda cs, k: pdf_pair_ac(a[k], cs),
+                        np.concatenate([np.zeros_like(points), split]),
+                        np.concatenate([split, np.full_like(points, c_hi)]),
                         QuadratureSpec(abs_tol=1e-8, rel_tol=1e-8))
-    return _deviation(r, pdf_pinned_a(points))
+    below, above = np.split(r.value, 2)
+    return _deviation(replace(r, value=below + above), pdf_pinned_a(points))
 
 
 def _sides_joint_over_a(b: np.ndarray, c: np.ndarray, inner: list) -> np.ndarray:
@@ -490,11 +493,6 @@ def _marginal_consistency_rows(suite: _Suite) -> list[CheckResult]:
                 ("uT-ratio-equals-side", "uniformT", _uT_ratio_identity_deviation(), 1e-12))]
 
 
-# the KS negative controls: (name, sampled family, statistic, wrong catalog kind)
-_KS_CONTROLS = (("pinned-b-vs-c-density", "pinned", "b", "pinned_c"),
-                ("staked-beta-vs-anchored-density", "staked", "beta", "anchored_alpha"))
-
-
 def _distribution_rows(suite: _Suite) -> list[CheckResult]:
     """The sampler against the catalog: the KS matrix and its negative
     controls, the literal point-process oracle and the chi-square region
@@ -507,7 +505,10 @@ def _distribution_rows(suite: _Suite) -> list[CheckResult]:
     batches, reports = ks_battery(suite.ks_samples, seed, tags, alpha)
     for tag, report in zip(tags, reports):
         rows.append(_gof(f"ks:{tag}", CATALOG[tag].family, report))
-    for name, family, statistic, kind in _KS_CONTROLS:
+    # the negative controls: a sampled statistic against a wrong catalog kind
+    for name, family, statistic, kind in (
+            ("pinned-b-vs-c-density", "pinned", "b", "pinned_c"),
+            ("staked-beta-vs-anchored-density", "staked", "beta", "anchored_alpha")):
         wrong = ks_one_sample(EmpiricalSample.from_values(
             batches[family].statistic(statistic), f"{family}:{statistic}"), kind, alpha)
         rows.append(_gof(f"ks-negative-control:{name}", family, wrong, reject=True))
@@ -520,9 +521,9 @@ def _distribution_rows(suite: _Suite) -> list[CheckResult]:
                          ks_two_sample(direct, literal, alpha)))
     uniform_pdf = lambda x, y: np.where((x > 0.0) & (y > 0.0) & (x + y < _PI),
                                         2.0 / (_PI * _PI), 0.0)
-    # grids on [low, 1.5]^2: the uT one strictly inside the support, so the
-    # discontinuous edge sits wholly in the pooled outside cell; the angle
-    # joints' away from their 1/r blow-up at the origin
+    # each grid is [low, 1.5]^2: inside the uT support, so its discontinuous
+    # edge falls wholly in the pooled outside cell, and clear of the angle
+    # joints' 1/r blow-up at the origin
     for name, family, pdf, low, reject in (
             ("chi-square:uT-angles-uniform", "uniformT", uniform_pdf, 0.1, False),
             ("chi-square:staked-angles-joint", "staked", pdf_staked_angles_joint, 0.15, False),
