@@ -6,10 +6,10 @@ and goodness-of-fit machinery:
 * ``pinned``: a triangle pinned at the origin whose other two vertices are
   the origin's nearest and second-nearest points of a unit-intensity planar
   Poisson process;
-* ``staked``: a unit base with the third vertex placed by the nearest
-  Poisson point of one endpoint;
-* ``anchored``: a unit base with the third vertex placed by the nearest
-  Poisson point of the base midpoint;
+* ``staked`` and ``anchored``: one base-point family, a unit base from
+  A = (0, 0) to B = (1, 0) with the third vertex at the Poisson point
+  nearest H = (h, 0); staked is h = 0 (H = A), anchored h = 1/2 (H the
+  base midpoint);
 * ``uniformT``: a unit base with the two base angles drawn uniformly and
   folded to a proper triangle.
 

@@ -196,8 +196,9 @@ def _write_table(columns: list[str], rows, cfg: RunConfig) -> None:
         if cfg.fmt == "json":
             _write_records(stream, columns, rows)
         else:
-            write_rows(stream, ",".join(columns), ",".join(["%s"] * len(columns)),
-                       np.asarray(rows, dtype=object))
+            table = np.asarray(rows, dtype=object)
+            blocks = (table[i:i + ROW_BLOCK] for i in range(0, len(table), ROW_BLOCK))
+            write_rows(stream, ",".join(columns), ",".join(["%s"] * len(columns)), blocks)
 
 
 def _emit(text: str, out: str | None) -> None:

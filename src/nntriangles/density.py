@@ -5,10 +5,10 @@ Families
 pinned    A at the origin of a unit-intensity planar Poisson process,
           B its nearest point, C its second-nearest.  Side a = |BC|,
           b = |AC|, c = |AB|, so c < b and a < 2b almost surely.
-staked    A at the origin, B fixed at (1, 0), C the Poisson point nearest
-          to the origin, reflected into the upper half-plane.
-anchored  A = (-1/2, 0), B = (1/2, 0) fixed, C the Poisson point nearest
-          to the segment midpoint (the origin), reflected upward.
+staked,   one base-point family: A = (0, 0), B = (1, 0) fixed, C the
+anchored  Poisson point nearest H = (h, 0), reflected into the upper
+          half-plane.  Staked is h = 0 (H = A); anchored is h = 1/2 (H
+          the base midpoint), drawn shifted by -1/2 so that H is the origin.
 uniform   Base of length 1 with two base angles drawn uniformly on
           (0, pi) and folded so they form a valid pair ("uT_*" tags).
 
@@ -375,64 +375,57 @@ def pdf_pair_ac(a, c):
 # staked / anchored families
 # ---------------------------------------------------------------------------
 
-def pdf_staked_angles_joint(alpha, beta):
-    """Joint density of (alpha, beta) for staked triangles on
-    {alpha, beta > 0, alpha + beta < pi}.
+def _base_point_joint(alpha, beta, h: float):
+    """Joint density of the base angles (alpha, beta) on
+    {alpha, beta > 0, alpha + beta < pi}, for A = (0, 0), B = (1, 0) and C
+    the Poisson point nearest H = (h, 0), folded upward:
 
-    2 * exp(-pi sin(beta)^2 / sin(alpha+beta)^2) * sin(alpha) sin(beta)
-      / sin(alpha+beta)^3.
+    2 * exp(-pi |C - H|^2) * sin(alpha) sin(beta) / sin(alpha+beta)^3, where
+    sin(alpha+beta) (C - H) = ((1-h) sin(beta) cos(alpha) - h sin(alpha) cos(beta),
+                               sin(alpha) sin(beta)).
 
-    sin(beta)/sin(alpha+beta) is the distance from the origin to the random
-    vertex, which is what the Poisson nearest-neighbor law suppresses; the
-    alpha marginal is exactly uniform on (0, pi).
+    At h = 1/2 swapping the angles only negates the first coordinate's two
+    products, so the density is exchangeable bit for bit.
     """
     (A, B), out, scalar = _broadcast(alpha, beta)
     m = (A > 0.0) & (B > 0.0) & (np.clip(A, 0.0, _PI) + B < _PI)  # huge A + B never overflows
     if m.any():
         a, b = A[m], B[m]
-        s = np.sin(a + b)
+        sa, sb, ca, cb, s = np.sin(a), np.sin(b), np.cos(a), np.cos(b), np.sin(a + b)
         # s^3 underflows to 0 below a + b ~ 1e-108; there the density, near
         # 1/s, is taken through q = sin(a)/s and r = sin(b)/s
         t = s ** 3 == 0.0
-        q, r = np.sin(a[t]) / s[t], np.sin(b[t]) / s[t]
+        q, r, st = sa[t] / s[t], sb[t] / s[t], s[t]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = 2.0 * np.exp(-_PI * np.sin(b) ** 2 / (s * s)) * np.sin(a) * np.sin(b) / s ** 3
-            vals[t] = 2.0 * np.exp(-_PI * r * r) * q * r / s[t]
+            x, y = (1.0 - h) * sb * ca - h * sa * cb, sa * sb  # s (C - H)
+            vals = 2.0 * np.exp(-_PI * (x * x + y * y) / (s * s)) * y / s ** 3
+            u, w = (1.0 - h) * r * ca[t] - h * q * cb[t], q * r  # C - H = (u, w s)
+            vals[t] = 2.0 * np.exp(-_PI * (u * u + (w * st) ** 2)) * w / st
         out[m] = vals
     return _finish(out, scalar)
+
+
+def pdf_staked_angles_joint(alpha, beta):
+    """Staked (alpha, beta): H = A, h = 0; the alpha marginal is exactly
+    uniform on (0, pi)."""
+    return _base_point_joint(alpha, beta, 0.0)
 
 
 def pdf_anchored_angles_joint(alpha, beta):
-    """Joint density of (alpha, beta) for anchored triangles, symmetric in
-    its arguments, on {alpha, beta > 0, alpha + beta < pi}.
-
-    2 * exp(-(pi/4)(sin(alpha-beta)^2 + 4 sin(alpha)^2 sin(beta)^2)
-            / sin(alpha+beta)^2) * sin(alpha) sin(beta) / sin(alpha+beta)^3.
-    """
-    (A, B), out, scalar = _broadcast(alpha, beta)
-    m = (A > 0.0) & (B > 0.0) & (np.clip(A, 0.0, _PI) + B < _PI)  # huge A + B never overflows
-    if m.any():
-        a, b = A[m], B[m]
-        s = np.sin(a + b)
-        s2 = s ** 2
-        t = s2 * s == 0.0  # as in pdf_staked_angles_joint
-        q, r, d = (np.sin(v[t]) / s[t] for v in (a, b, a - b))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            expo = (np.sin(a - b) ** 2 + 4.0 * np.sin(a) ** 2 * np.sin(b) ** 2) / s2
-            vals = 2.0 * np.exp(-0.25 * _PI * expo) * np.sin(a) * np.sin(b) / (s2 * s)
-            vals[t] = 2.0 * np.exp(-0.25 * _PI * (d * d + 4.0 * (q * r * s[t]) ** 2)) * q * r / s[t]
-        out[m] = vals
-    return _finish(out, scalar)
+    """Anchored (alpha, beta): H the base midpoint, h = 1/2; symmetric in
+    its arguments."""
+    return _base_point_joint(alpha, beta, 0.5)
 
 
 def _fixed_vertex_angle(x, r: float):
-    """Density of the angle at a fixed vertex at distance r from the origin
-    whose ray to the other fixed vertex passes through the origin.
+    """Density of the angle at a base vertex at distance r from H (r = h
+    at A, 1 - h at B; see ``_base_point_joint``).
 
-    The random vertex has density 2 exp(-pi |p|^2) on the upper half-plane.
-    In polar coordinates (s, phi) at the fixed vertex, phi measured from
-    that ray, |p|^2 = (s - r cos phi)^2 + r^2 sin^2 phi, so the radial
-    integral is elementary:
+    The random vertex p, taken from H, has density 2 exp(-pi |p|^2) on the
+    upper half-plane.  In polar coordinates (s, phi) at the base vertex,
+    phi measured along the base through H,
+    |p|^2 = (s - r cos phi)^2 + r^2 sin^2 phi, so the radial integral is
+    elementary:
     exp(-pi r^2)/pi + r cos(phi) exp(-pi r^2 sin^2 phi) erfc(-sqrt(pi) r cos phi).
     """
     (X,), out, scalar = _broadcast(x)
@@ -444,13 +437,13 @@ def _fixed_vertex_angle(x, r: float):
 
 
 def pdf_staked_beta(x):
-    """Marginal of the staked far-vertex angle: B = (1, 0) sits at r = 1."""
+    """Marginal of the staked angle at B: r = 1 - h = 1."""
     return _fixed_vertex_angle(x, 1.0)
 
 
 def pdf_anchored_alpha(x):
     """Marginal of either anchored angle (the two are exchangeable):
-    A = (-1/2, 0) sits at r = 1/2."""
+    r = h = 1/2."""
     return _fixed_vertex_angle(x, 0.5)
 
 

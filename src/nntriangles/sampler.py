@@ -6,9 +6,9 @@ pinned    A at the origin; B and C are the nearest and second-nearest points
           of a unit-intensity planar Poisson process, so ||B||^2 and
           ||C||^2 - ||B||^2 are independent Exponential(pi) and the polar
           angles are independent Uniform[0, 2pi).
-staked    A = (0,0), B = (1,0); C is the process point nearest the origin,
-          folded into the upper half-plane.
-anchored  A = (-1/2, 0), B = (1/2, 0); C as in staked, nearest the midpoint.
+staked,   a unit base A = (0 - h, 0), B = (1 - h, 0); C is the process point
+anchored  nearest H, the origin, folded into the upper half-plane.  Staked
+          is h = 0 (H = A), anchored h = 1/2 (H the midpoint).
 uniformT  A = (0,0), B = (1,0); the base angles (alpha, beta) come from two
           independent Uniform[0, pi] draws folded into {alpha + beta < pi},
           and C is the intersection of the two rays.
@@ -93,14 +93,13 @@ CSV_HEADER = "family,ax,ay,bx,by,cx,cy,a,b,c,alpha,beta,gamma"
 ROW_BLOCK = 4096
 
 
-def write_rows(destination, header: str, row_format: str, rows: np.ndarray) -> None:
+def write_rows(destination, header: str, row_format: str, blocks) -> None:
     """Write ``header``, then one ``row_format % tuple(row)`` line per row of
-    the 2-D array ``rows`` (cells become Python objects first, so ``%s``
-    prints a float as its ``repr``), to an open text stream."""
+    each 2-D array in ``blocks`` (cells become Python objects first, so
+    ``%s`` prints a float as its ``repr``), to an open text stream."""
     line = row_format + "\n"
     destination.write(header + "\n")
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start:start + ROW_BLOCK]
+    for block in blocks:
         destination.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -139,8 +138,8 @@ class SampleBatch:
 
     def statistic(self, name: str) -> np.ndarray:
         """A named per-sample scalar: a side, an angle, a side ratio,
-        ``max_side``/``min_side`` (all three sides), ``max_ab``/``min_ab``
-        (the two sides meeting at the third vertex), or ``area``."""
+        ``max_ab``/``min_ab`` (the two sides meeting at the third vertex),
+        or ``area``."""
         sides_by_name = {"a": 0, "b": 1, "c": 2}
         angles_by_name = {"alpha": 0, "beta": 1, "gamma": 2}
         if name in sides_by_name:
@@ -150,10 +149,6 @@ class SampleBatch:
         if name in _RATIO_STATS:
             num, den = _RATIO_STATS[name]
             return self.sides[:, num] / self.sides[:, den]
-        if name == "max_side":
-            return self.sides.max(axis=1)
-        if name == "min_side":
-            return self.sides.min(axis=1)
         if name == "max_ab":
             return self.sides[:, :2].max(axis=1)
         if name == "min_ab":
@@ -163,13 +158,19 @@ class SampleBatch:
             return np.sqrt(heron_product(a, b, c)) / 4.0
         raise KeyError(f"unknown statistic {name!r}")
 
-    def table(self) -> np.ndarray:
-        """The 12 numeric CSV columns (vertices, sides, angles) side by side."""
-        return np.hstack([self.vertices, self.sides, self.angles])
+    def table(self, rows: slice = slice(None)) -> np.ndarray:
+        """The 12 numeric CSV columns (vertices, sides, angles) of ``rows``;
+        angles not yet computed are computed for those rows, and not kept."""
+        angles = (angles_from_sides(self.sides[rows]) if self._angles is None
+                  else self._angles[rows])
+        return np.hstack([self.vertices[rows], self.sides[rows], angles])
 
     def write_csv(self, destination) -> None:
-        """Write all rows in the CSV schema, 17 significant digits, to a text stream."""
-        write_rows(destination, CSV_HEADER, self.family + ",%.17g" * 12, self.table())
+        """Write all rows in the CSV schema, 17 significant digits, to a text
+        stream, a ``ROW_BLOCK`` of the table at a time."""
+        blocks = (self.table(slice(start, start + ROW_BLOCK))
+                  for start in range(0, len(self), ROW_BLOCK))
+        write_rows(destination, CSV_HEADER, self.family + ",%.17g" * 12, blocks)
 
 
 def _sides_from_vertices(vertices: np.ndarray) -> np.ndarray:
@@ -252,17 +253,15 @@ def _folded_nearest(count: int, gen: np.random.Generator) -> np.ndarray:
     return cols.T
 
 
-def _attempt_staked(count: int, gen: np.random.Generator):
-    verts = _folded_nearest(count, gen)
-    verts[:, 2] = 1.0
-    return verts, None
-
-
-def _attempt_anchored(count: int, gen: np.random.Generator):
-    verts = _folded_nearest(count, gen)
-    verts[:, 0] = -0.5
-    verts[:, 2] = 0.5
-    return verts, None
+def _base_point_attempt(h: float):
+    """The attempt for a unit base with C nearest H = (h, 0) on it, drawn
+    with H at the origin.  A's x is ``0.0 - h``: ``-h`` is -0.0 at h = 0."""
+    def attempt(count: int, gen: np.random.Generator):
+        verts = _folded_nearest(count, gen)
+        verts[:, 0] = 0.0 - h
+        verts[:, 2] = 1.0 - h
+        return verts, None
+    return attempt
 
 
 def _attempt_uniform_t(count: int, gen: np.random.Generator):
@@ -285,8 +284,8 @@ def _attempt_uniform_t(count: int, gen: np.random.Generator):
 
 _ATTEMPTS = {
     "pinned": _attempt_pinned,
-    "staked": _attempt_staked,
-    "anchored": _attempt_anchored,
+    "staked": _base_point_attempt(0.0),
+    "anchored": _base_point_attempt(0.5),
     "uniformT": _attempt_uniform_t,
 }
 

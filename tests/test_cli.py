@@ -644,7 +644,7 @@ def test_benchmark_tracer_runs_verify(tracing):
 # a deliberate change of any of them re-pins here and says why in CHANGES.md
 PINNED_DIGESTS = [
     pytest.param(["verify", "--seed", "2", *TINY_VERIFY],
-                 "26b6da820add2ea448bb09f2d69fa8d50d874693ff0f66b5a95318d16edd3209",
+                 "2790195918d2744b3353b85492af2f61c383408118a70e970a024a1e8f3d36ea",
                  id="verify"),
     pytest.param(["pdf", "--kind", "pair_ac_integral", "--points",
                   "9.907021242543472e-06,1.5910789395764802;0.5,8.871353193234626e-13;"

@@ -432,10 +432,17 @@ def test_series_windows_match_high_precision():
 # ---------------------------------------------------------------------------
 
 def test_anchored_joint_is_exchangeable_staked_is_not():
-    pts = [(0.3, 1.0), (0.8, 0.4), (1.5, 1.2), (0.05, 2.8)]
-    for a, b in pts:
-        assert density.pdf_anchored_angles_joint(a, b) == \
-            density.pdf_anchored_angles_joint(b, a)
+    # bit for bit, on 10^4 seeded points uniform on the support (folded
+    # into alpha + beta < pi) and 10^3 where sin(alpha + beta)^3 underflows
+    rng = np.random.default_rng(33)
+    a, b = rng.uniform(0.0, PI, (2, 10_000))
+    a, b = np.where(a + b < PI, (a, b), (PI - b, PI - a))
+    tiny_a, tiny_b = 10.0 ** rng.uniform(-300.0, -110.0, (2, 1000))
+    a = np.concatenate([a, tiny_a, [0.3, 1e-200]])
+    b = np.concatenate([b, tiny_b, [1.0, 3e-200]])
+    joint = density.pdf_anchored_angles_joint
+    assert np.count_nonzero(joint(a, b)) > 10_000  # 0 only where exp(-pi |C - H|^2) underflows
+    np.testing.assert_array_equal(joint(a, b), joint(b, a))
     assert density.pdf_staked_angles_joint(0.3, 1.0) != \
         density.pdf_staked_angles_joint(1.0, 0.3)
 
@@ -464,18 +471,25 @@ def test_anchored_alpha_marginal_matches_joint(x):
     assert r.value == pytest.approx(density.pdf_anchored_alpha(x), rel=1e-8)
 
 
-# The closed-form angle marginals at a fixed vertex at distance r from the
-# origin (staked beta at B, r = 1; anchored alpha at A, r = 1/2), each with
-# its joint in (marginal angle, partner angle) order.
+# The closed-form angle marginals at a base vertex at distance r from H =
+# (h, 0) (r = h at A, 1 - h at B; staked h = 0, anchored h = 1/2), each
+# with its joint in (marginal angle, partner angle) order.  Staked alpha
+# is r = 0, the uniform 1/pi.
 ANGLE_MARGINALS = [
-    (density.pdf_staked_beta,
-     lambda x, partner: density.pdf_staked_angles_joint(partner, x), 1.0),
-    (density.pdf_anchored_alpha, density.pdf_anchored_angles_joint, 0.5),
+    pytest.param(density.pdf_staked_alpha, density.pdf_staked_angles_joint, 0.0,
+                 id="staked_alpha"),
+    pytest.param(density.pdf_staked_beta,
+                 lambda x, partner: density.pdf_staked_angles_joint(partner, x), 1.0,
+                 id="staked_beta"),
+    pytest.param(density.pdf_anchored_alpha, density.pdf_anchored_angles_joint, 0.5,
+                 id="anchored_alpha"),
+    pytest.param(density.pdf_anchored_beta,
+                 lambda x, partner: density.pdf_anchored_angles_joint(partner, x), 0.5,
+                 id="anchored_beta"),
 ]
 
 
-@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS,
-                         ids=["staked_beta", "anchored_alpha"])
+@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS)
 def test_angle_marginal_matches_integrated_joint(marginal, joint, r):
     xs = np.linspace(1e-3, PI - 1e-3, 40)
     spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
@@ -484,8 +498,7 @@ def test_angle_marginal_matches_integrated_joint(marginal, joint, r):
     assert np.abs(res.value - marginal(xs)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS,
-                         ids=["staked_beta", "anchored_alpha"])
+@pytest.mark.parametrize("marginal, joint, r", ANGLE_MARGINALS)
 def test_angle_marginal_endpoint_limits(marginal, joint, r):
     # exp(-pi r^2)/pi +- r erfc(-+sqrt(pi) r) as phi -> 0 and phi -> pi
     base = math.exp(-PI * r * r) / PI

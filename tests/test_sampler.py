@@ -282,7 +282,7 @@ def test_angles_computed_once_and_only_when_read(monkeypatch):
 
     monkeypatch.setattr(sampler, "angles_from_sides", counted)
     batch = sample_batch("pinned", 300, RandomStream(4))
-    for name in ("a", "b_over_c", "max_side", "area"):
+    for name in ("a", "b_over_c", "max_ab", "area"):
         batch.statistic(name)
     sample_pinned_oracle_batch(50, RandomStream(4))
     assert calls == []
@@ -369,8 +369,6 @@ def test_statistic_names_and_values():
     np.testing.assert_array_equal(batch.statistic("gamma"), batch.angles[:, 2])
     np.testing.assert_allclose(batch.statistic("b_over_c"), b / c, rtol=0)
     np.testing.assert_allclose(batch.statistic("a_over_c"), a / c, rtol=0)
-    np.testing.assert_array_equal(batch.statistic("max_side"),
-                                  batch.sides.max(axis=1))
     np.testing.assert_array_equal(batch.statistic("min_ab"), np.minimum(a, b))
     np.testing.assert_array_equal(batch.statistic("max_ab"), np.maximum(a, b))
 
@@ -397,6 +395,20 @@ def test_write_csv_round_trip():
         numbers = np.loadtxt(io.StringIO(expected), delimiter=",",
                              usecols=range(1, 13))
         np.testing.assert_array_equal(numbers, table)
+
+
+def test_write_csv_computes_angles_a_block_at_a_time(monkeypatch):
+    calls = []
+
+    def counted(sides):
+        calls.append(len(sides))
+        return _ANGLES_FROM_SIDES(sides)
+
+    batch = sample_batch("pinned", 10_000, RandomStream(21))
+    monkeypatch.setattr(sampler, "angles_from_sides", counted)
+    batch.write_csv(io.StringIO())
+    assert sum(calls) == 10_000 and max(calls) <= sampler.ROW_BLOCK
+    assert batch._angles is None
 
 
 def test_write_csv_to_path(tmp_path):
