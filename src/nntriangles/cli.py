@@ -256,24 +256,27 @@ _MOMENT_COLUMNS = ["family", "quantity"] + [
 _CHECK_COLUMNS = ["check", "family", "expected", "actual", "tolerance", "pass"]
 
 
-def _moment_row(cfg: RunConfig, family: str, index: int, quantity: str) -> list:
-    """One table row: the mean's six cells, then the mean square's."""
-    row: list = [family, quantity]
-    for offset, statistic in enumerate(("mean", "mean-square")):
-        target = moments.MomentTarget(family, quantity, statistic)
-        rng = RandomStream(cfg.seed, 10_000 + 200 * index + 100 * offset)
-        report = moments.moment_report(target, tol=cfg.tol, n=cfg.n, rng=rng,
-                                       workers=cfg.workers)
+def _moment_rows(cfg: RunConfig, family: str) -> list[list]:
+    """One family's table rows, each a quantity's mean cells then its mean
+    square's; every Monte Carlo cell comes from one draw of the family."""
+    cells = moments.targets(family)
+    rng = RandomStream(cfg.seed, 10_000 + 100 * moments.FAMILIES.index(family))
+    estimates = moments.batch_means(family, cfg.n, rng,
+                                    {t: moments.cell_reducer(t) for t in cells}, cfg.workers)
+    rows: dict[str, list] = {}
+    for target in cells:
+        report = moments.moment_report(target, cfg.tol, estimates[target])
         divergent = report.closed == math.inf
+        row = rows.setdefault(target.quantity, [family, target.quantity])
         row += [_cell(report.closed), _cell(report.reference),
                 "inf" if divergent else
                 _cell(report.quadrature.value if report.quadrature else None)]
-        if report.monte_carlo is None or divergent:
-            row += ["inf" if divergent else "-", "-"]
+        if divergent:
+            row += ["inf", "-"]
         else:
             row += [float(report.monte_carlo.value), float(report.monte_carlo.std_error)]
         row.append("pass" if report.verdict else "fail")
-    return row
+    return list(rows.values())
 
 
 def cmd_moments(cfg: RunConfig, families: tuple[str, ...]) -> int:
@@ -283,10 +286,8 @@ def cmd_moments(cfg: RunConfig, families: tuple[str, ...]) -> int:
         if family not in moments.FAMILIES:
             raise UsageError(
                 f"unknown family {family!r}; choose from {moments.FAMILIES}")
-        quantities = (moments.PINNED_QUANTITIES if family == "pinned"
-                      else moments.ANGLE_ONLY_QUANTITIES)
         try:
-            rows += [_moment_row(cfg, family, i, q) for i, q in enumerate(quantities)]
+            rows += _moment_rows(cfg, family)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     _write_table(_MOMENT_COLUMNS, rows, cfg)
@@ -389,12 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="one family's moment table")
     p.add_argument("--family", required=True, help=f"one of {moments.FAMILIES}")
     p.add_argument("-n", type=int, default=100_000,
-                   help="Monte Carlo sample size per cell")
+                   help="Monte Carlo sample size per family")
 
     p = sub.add_parser("tables", parents=[common],
                        help="moment tables for every family")
     p.add_argument("-n", type=int, default=100_000,
-                   help="Monte Carlo sample size per cell")
+                   help="Monte Carlo sample size per family")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the verification suite")

@@ -133,7 +133,6 @@ class MonteCarloEstimate:
     value: float
     std_error: float
     n: int
-    divergent: bool = False
 
 
 @dataclass(frozen=True)
@@ -305,10 +304,10 @@ def expected_ac(tol: float = 1e-7) -> ExpectedAc:
 def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
     """Moment by quadrature against the density catalog.
 
-    Raises DivergenceError for the four divergent ratio mean squares.
+    Raises DivergenceError when the quantity's catalog density has a power
+    tail too heavy for the moment: the four ratio mean squares, whose
+    densities fall off as x^-3.  The closed-form table is not consulted.
     """
-    if closed_form(target) == math.inf:
-        raise DivergenceError(f"{target} diverges")
     power = 1 if target.statistic == "mean" else 2
     kind = _marginal_kind(target)
     if kind is not None:
@@ -348,16 +347,18 @@ _BATCHES = 100
 
 
 def batch_means(family: str, n: int, rng: RandomStream, reducers: dict,
-                workers: int = 1) -> dict[str, MonteCarloEstimate]:
+                workers: int = 1) -> dict:
     """Batch-means estimates of several statistics from one set of draws.
 
     Batch k < 100 holds max(n // 100, 1) rows drawn from
-    RandomStream(rng.seed, rng.stream_id + k).  ``reducers`` maps a name to
-    a function of one batch returning a scalar; each name's estimate is the
-    mean of its 100 batch values, with their standard error.  Batches run
-    on ``workers`` threads but are reduced in stream order, so the result
-    is identical for any worker count.
+    RandomStream(rng.seed, rng.stream_id + k).  ``reducers`` maps a
+    hashable key to a function of one batch returning a scalar; each key's
+    estimate is the mean of its 100 batch values, with their standard
+    error.  Batches run on ``workers`` threads but are reduced in stream
+    order, so the result is identical for any worker count.
     """
+    if n < 1000:
+        raise ValueError(f"need n >= 1000 for batch means: {n}")
     per_batch = max(n // _BATCHES, 1)
 
     def one(k: int) -> list[float]:
@@ -370,38 +371,37 @@ def batch_means(family: str, n: int, rng: RandomStream, reducers: dict,
     else:
         rows = [one(k) for k in range(_BATCHES)]
     table = np.asarray(rows)
-    return {name: MonteCarloEstimate(float(table[:, i].mean()),
-                                     float(table[:, i].std(ddof=1) / math.sqrt(_BATCHES)),
-                                     per_batch * _BATCHES)
-            for i, name in enumerate(reducers)}
+    return {key: MonteCarloEstimate(float(table[:, i].mean()),
+                                    float(table[:, i].std(ddof=1) / math.sqrt(_BATCHES)),
+                                    per_batch * _BATCHES)
+            for i, key in enumerate(reducers)}
 
 
-def _mc_values(batch, quantity: str) -> np.ndarray:
-    products = {"alphabeta": ("alpha", "beta"), "betagamma": ("beta", "gamma"),
-                "gammaalpha": ("gamma", "alpha"), "ab": ("a", "b"),
-                "bc": ("b", "c"), "ca": ("c", "a")}
-    if quantity in products:
-        u, v = products[quantity]
-        return batch.statistic(u) * batch.statistic(v)
-    return batch.statistic(quantity.replace("/", "_over_"))
+_PRODUCTS = {"alphabeta": ("alpha", "beta"), "betagamma": ("beta", "gamma"),
+             "gammaalpha": ("gamma", "alpha"), "ab": ("a", "b"),
+             "bc": ("b", "c"), "ca": ("c", "a")}
+
+
+def cell_reducer(target: MomentTarget):
+    """The batch reducer of one table cell: the batch mean of the cell's
+    quantity to the power 1 (mean) or 2 (mean square)."""
+    power = 2.0 if target.statistic == "mean-square" else 1.0
+    u, v = _PRODUCTS.get(target.quantity, (target.quantity.replace("/", "_over_"), None))
+
+    def reduce(batch) -> float:
+        x = batch.statistic(u) if v is None else batch.statistic(u) * batch.statistic(v)
+        return float(np.mean(x ** power))
+
+    return reduce
 
 
 def by_monte_carlo(target: MomentTarget, n: int, rng: RandomStream,
                    workers: int = 1) -> MonteCarloEstimate:
-    """Batch-means Monte Carlo estimate (see :func:`batch_means`).
+    """Batch-means Monte Carlo estimate of one cell (see :func:`batch_means`).
 
-    Divergent targets are estimated anyway but flagged: their batch means
-    never stabilize.
+    Divergent cells are estimated too; their batch means never settle.
     """
-    if n < 1000:
-        raise ValueError(f"need n >= 1000 for batch means: {n}")
-    power = 1 if target.statistic == "mean" else 2
-
-    def mean_power(batch) -> float:
-        return np.mean(_mc_values(batch, target.quantity)**power)
-
-    estimate = batch_means(target.family, n, rng, {"v": mean_power}, workers)["v"]
-    return replace(estimate, divergent=closed_form(target) == math.inf)
+    return batch_means(target.family, n, rng, {target: cell_reducer(target)}, workers)[target]
 
 
 def correlation_ab() -> float:
@@ -421,36 +421,28 @@ def acuteness(family: str, tol: float = 1e-10) -> IntegralResult:
     return integrate_2d(joint, 0.0, half, lambda x: (half - x, np.full_like(x, half)), spec)
 
 
-def moment_report(target: MomentTarget, tol: float = 1e-8, n: int = 10**5,
-                  rng: RandomStream | None = None, workers: int = 1) -> MomentReport:
-    """Run every applicable route for one table cell and compare.
+def moment_report(target: MomentTarget, tol: float = 1e-8,
+                  monte_carlo: MonteCarloEstimate | None = None) -> MomentReport:
+    """Run the quadrature route for one table cell and compare every route.
 
-    Verdict is true when all routes that produced a value agree: quadrature
-    against the closed form within max(tol, 10x its error estimate), against
-    the decimal reference within 1e-6, and Monte Carlo against the best
-    available value within four standard errors.  A quadrature that did not
-    converge makes the verdict false.
+    Verdict is true when all routes agree: quadrature against the closed
+    form within max(tol, 10x its error estimate) or else the decimal
+    reference within 1e-6, and the given Monte Carlo estimate against the
+    closed form, else quadrature, within four standard errors.  A
+    quadrature that did not converge makes the verdict false.  A divergent
+    cell (closed form inf) runs no quadrature and passes.
     """
     closed = closed_form(target)
     reference = reference_value(target)
-    rng = rng if rng is not None else RandomStream(0)
-    quad = None
-    verdict = True
-    if closed != math.inf:
-        try:
-            quad = by_quadrature(target, tol)
-        except DivergenceError:
-            quad = None
-    mc = by_monte_carlo(target, n, rng, workers) if n else None
-    if quad is not None:
-        verdict &= bool(quad.converged)
-        if closed is not None:
-            verdict &= abs(quad.value - closed) <= max(tol, 10.0 * quad.error)
-        elif reference is not None:
-            verdict &= abs(quad.value - reference) <= 1e-6
-    if mc is not None and not mc.divergent:
-        best = closed if closed is not None else (
-            quad.value if quad is not None else reference)
-        if best is not None:
-            verdict &= abs(mc.value - best) <= 4.0 * mc.std_error
-    return MomentReport(target, closed, reference, quad, mc, verdict)
+    if closed == math.inf:
+        return MomentReport(target, closed, reference, None, monte_carlo, True)
+    quad = by_quadrature(target, tol)
+    verdict = bool(quad.converged)
+    if closed is not None:
+        verdict &= abs(quad.value - closed) <= max(tol, 10.0 * quad.error)
+    elif reference is not None:
+        verdict &= abs(quad.value - reference) <= 1e-6
+    if monte_carlo is not None:
+        best = closed if closed is not None else quad.value
+        verdict &= abs(monte_carlo.value - best) <= 4.0 * monte_carlo.std_error
+    return MomentReport(target, closed, reference, quad, monte_carlo, verdict)

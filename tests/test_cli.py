@@ -367,6 +367,26 @@ def test_tables_concatenates_families():
     assert len(lines) == 1 + 19 + 3 + 3
     families = [line.split(",")[0] for line in lines[1:]]
     assert families == ["pinned"] * 19 + ["staked"] * 3 + ["anchored"] * 3
+    # each family draws its own streams, so neither the worker count nor
+    # the other families change a row
+    assert run_cli(["tables", "-n", "2000", "--tol", "1e-6", "--workers", "2"])[1] == out
+    code, anchored, _ = run_cli(["moments", "--family", "anchored", "-n", "2000",
+                                 "--tol", "1e-6"])
+    assert code == 0
+    assert anchored.splitlines() == [lines[0], *lines[-3:]]
+
+
+def test_tables_draws_each_family_once(monkeypatch):
+    calls, original = [], moments.sample_batch
+
+    def counted(family, n, rng):
+        calls.append(family)
+        return original(family, n, rng)
+
+    monkeypatch.setattr(moments, "sample_batch", counted)
+    assert run_cli(["tables", "-n", "2000", "--tol", "1e-6"])[0] == 0
+    # 100 batches per family, not 100 per cell
+    assert calls == ["pinned"] * 100 + ["staked"] * 100 + ["anchored"] * 100
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +672,9 @@ PINNED_DIGESTS = [
                   "1.8,0.3;2.0,1.0;10.0,9.5;20.0,9.0"],
                  "280689270f34fc55504858874e4df09e71facb8e81cdae266e61d22e29fa7cef",
                  id="pdf-pair_ac"),
+    pytest.param(["tables", "-n", "2000", "--tol", "1e-6"],
+                 "8b7b12de725927af9062103a74ef7bd99e588540efd8fd9ee93eb00b9c451a8b",
+                 id="tables"),
     *(pytest.param(["sample", "--family", family, "-n", "2000", "--seed", "7"],
                    digest, id=f"sample-{family}") for family, digest in [
         ("pinned", "7356a30300c3bf9d32e770f6c9b63a0bae7ab2dc9c06d80ad5b1be24f074047f"),

@@ -7,11 +7,13 @@ the others.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nntriangles import moments
+from nntriangles import moments, verify
+from nntriangles.density import CATALOG
 from nntriangles.moments import (
     ACUTENESS_CLOSED,
     EXPECTED_AC,
@@ -143,6 +145,18 @@ def test_quadrature_refuses_divergent_cells():
             by_quadrature(MomentTarget(family, quantity, "mean-square"))
 
 
+def test_divergence_flag_catches_a_finite_tail_in_the_catalog(monkeypatch):
+    # the quadrature route reads divergence from the density's tail, not
+    # from the closed-form table, so a catalog tail that would make b/a's
+    # mean square finite fails its divergence flag
+    kind = CATALOG["ratio_b_over_a"]
+    monkeypatch.setitem(CATALOG, "ratio_b_over_a", replace(kind, tail_power=5.0))
+    suite = verify._Suite(2, 2000, 0.001, dict)
+    rows = {r.check: r.passed for r in verify._divergence_rows(suite)}
+    assert rows["divergence-flag:b/a:mean-square"] is False
+    assert rows["divergence-flag:b/c:mean-square"] is True
+
+
 def test_truncated_mean_square_grows_logarithmically():
     target = MomentTarget("pinned", "b/c", "mean-square")
     for upper in (10.0, 100.0, 1000.0):
@@ -210,7 +224,7 @@ def test_monte_carlo_determinism_and_worker_invariance():
     two = by_monte_carlo(target, 5000, RandomStream(4, 100))
     parallel = by_monte_carlo(target, 5000, RandomStream(4, 100), workers=3)
     assert one == two == parallel
-    assert one.n == 5000 and one.std_error > 0 and not one.divergent
+    assert one.n == 5000 and one.std_error > 0
 
 
 def test_monte_carlo_requires_enough_samples():
@@ -230,11 +244,21 @@ def test_monte_carlo_recovers_known_values(family, quantity, statistic, truth):
     assert abs(est.value - truth) <= 5.0 * est.std_error
 
 
-def test_monte_carlo_flags_divergent_targets():
+def test_monte_carlo_of_divergent_target_is_finite():
     est = by_monte_carlo(MomentTarget("pinned", "b/c", "mean-square"),
                          2000, RandomStream(8, 400))
-    assert est.divergent
     assert math.isfinite(est.value)  # finite draw average, meaningless limit
+
+
+def test_one_draw_serves_every_cell_of_a_family():
+    # the cells' reducers are independent per batch, so each cell of one
+    # family draw is the cell drawn alone on the same stream
+    cells = targets("staked")
+    est = moments.batch_means("staked", 2000, RandomStream(3, 0),
+                              {t: moments.cell_reducer(t) for t in cells})
+    assert list(est) == cells
+    for target in cells:
+        assert est[target] == by_monte_carlo(target, 2000, RandomStream(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +266,9 @@ def test_monte_carlo_flags_divergent_targets():
 # ---------------------------------------------------------------------------
 
 def test_moment_report_all_routes_agree():
-    report = moment_report(MomentTarget("pinned", "c", "mean"),
-                           n=10000, rng=RandomStream(12, 500))
+    target = MomentTarget("pinned", "c", "mean")
+    report = moment_report(target, monte_carlo=by_monte_carlo(target, 10000,
+                                                              RandomStream(12, 500)))
     assert report.closed == pytest.approx(0.5)
     assert report.reference is None
     assert report.quadrature is not None and report.quadrature.converged
@@ -252,17 +277,19 @@ def test_moment_report_all_routes_agree():
 
 
 def test_moment_report_divergent_cell():
-    report = moment_report(MomentTarget("pinned", "a/c", "mean-square"),
-                           n=2000, rng=RandomStream(12, 600))
+    target = MomentTarget("pinned", "a/c", "mean-square")
+    mc = by_monte_carlo(target, 2000, RandomStream(12, 600))
+    report = moment_report(target, monte_carlo=mc)
     assert report.closed == math.inf
     assert report.quadrature is None
-    assert report.monte_carlo.divergent
+    assert report.monte_carlo is mc
     assert report.verdict  # nothing comparable, nothing contradicted
 
 
 def test_moment_report_reference_cell():
-    report = moment_report(MomentTarget("pinned", "ca", "mean"),
-                           n=10000, rng=RandomStream(12, 700))
+    target = MomentTarget("pinned", "ca", "mean")
+    report = moment_report(target, monte_carlo=by_monte_carlo(target, 10000,
+                                                              RandomStream(12, 700)))
     assert report.closed is None
     assert report.reference == pytest.approx(0.49181215)
     assert report.verdict
@@ -277,7 +304,7 @@ def test_unconverged_quadrature_is_never_agreement(target, monkeypatch):
     for converged in (True, False):
         monkeypatch.setattr(moments, "by_quadrature", lambda t, tol=1e-8:
                             IntegralResult(exact, 0.0, 1, converged))
-        assert moment_report(target, n=0).verdict is converged
+        assert moment_report(target).verdict is converged
 
 
 # ---------------------------------------------------------------------------
