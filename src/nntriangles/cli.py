@@ -69,8 +69,8 @@ class RunConfig:
             raise UsageError(f"format must be csv or json: {self.fmt!r}")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError(f"alpha must be in (0, 1): {self.alpha}")
-        if not self.tol > 0.0:
-            raise UsageError(f"tol must be positive: {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError(f"tol must be positive and finite: {self.tol}")
 
 
 @dataclass(frozen=True)

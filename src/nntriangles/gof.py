@@ -49,7 +49,6 @@ __all__ = [
     "ks_critical",
     "ks_one_sample",
     "ks_two_sample",
-    "quadrature_pieces",
     "quantile",
 ]
 
@@ -263,40 +262,6 @@ def quantile(kind, p: float) -> float:
         if hi - lo <= 1e-12 * (1.0 + abs(hi)):
             break
     return 0.5 * (lo + hi)
-
-
-def _truncation_point(kind: DensityKind, tol: float) -> float:
-    """Upper integration limit carrying all but < tol/10 of the mass."""
-    if kind.tail == "gauss":
-        return gaussian_tail_cutoff(kind.gauss_scale, kind.gauss_degree, 0.1 * tol)
-    # power tail ~ C x^-p: remaining mass beyond T is about T f(T)/(p-1)
-    t = _LOG_START
-    while t * kind.pdf(t) / (kind.tail_power - 1.0) > 0.1 * tol:
-        t *= 2.0
-    return t
-
-
-def quadrature_pieces(kind: DensityKind, tol: float) -> list[tuple[float, float, str]]:
-    """Pieces (a, b, singularity mode) for integrating a univariate kind
-    over its support.
-
-    An infinite tail is cut where all but < tol/10 of the mass lies below.
-    The range is split at the kind's singular points and breakpoints, and
-    each piece gets the endpoint-singularity mode its singular ends need.
-    """
-    lo, hi = kind.support[0]
-    if kind.tail != "finite":
-        hi = _truncation_point(kind, tol)
-    cuts = sorted({lo, hi, *(p for p in (*kind.singular_points, *kind.breakpoints)
-                             if lo < p < hi)})
-    pieces = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        touch_lo = any(math.isclose(a, s) for s in kind.singular_points)
-        touch_hi = any(math.isclose(b, s) for s in kind.singular_points)
-        mode = {(False, False): "none", (True, False): "left",
-                (False, True): "right", (True, True): "both"}[(touch_lo, touch_hi)]
-        pieces.append((a, b, mode))
-    return pieces
 
 
 # ---------------------------------------------------------------------------

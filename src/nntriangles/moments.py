@@ -74,6 +74,11 @@ _CLOSED = {
     ("anchored", "alphabeta"): (None, None),
 }
 
+# The two factors of each product quantity.
+_PRODUCTS = {"alphabeta": ("alpha", "beta"), "betagamma": ("beta", "gamma"),
+             "gammaalpha": ("gamma", "alpha"), "ab": ("a", "b"),
+             "bc": ("b", "c"), "ca": ("c", "a")}
+
 # Decimal references (8 digits) for cells whose exact value is unknown.
 REFERENCE_VALUES = {
     ("pinned", "ca", "mean"): 0.49181215,
@@ -193,47 +198,61 @@ def _marginal_kind(target: MomentTarget) -> density.DensityKind | None:
                  if (kind.arity, kind.family, kind.statistic) == source), None)
 
 
-def _marginal_moment(kind: density.DensityKind, power: int, tol: float) -> IntegralResult:
+def kind_integral(kind: density.DensityKind, power: int = 0, tol: float = 1e-8,
+                  upper: float = math.inf) -> IntegralResult:
+    """Integral of x^power f(x) over a univariate kind's support below ``upper``.
+
+    The range is split at the kind's singular points and breakpoints, so
+    every piece has an analytic integrand.  An infinite Gaussian tail is cut
+    where less than 1e-16 of the moment lies beyond; an infinite power tail
+    runs to infinity, and raises DivergenceError when it is too heavy for
+    the moment.
+    """
     lo, hi = kind.support[0]
-    if kind.tail == "power" and kind.tail_power - power <= 1:
+    hi = min(hi, upper)
+    if math.isinf(hi) and kind.tail == "power" and kind.tail_power - power <= 1:
         raise DivergenceError(
             f"moment of order {power} diverges for {kind.tag} "
             f"(tail falls off as x^-{kind.tail_power:g})")
-    if kind.tail == "gauss" and math.isinf(hi):
+    if math.isinf(hi) and kind.tail == "gauss":
         hi = gaussian_tail_cutoff(kind.gauss_scale, kind.gauss_degree + power)
+    cuts = sorted({lo, hi, *(p for p in (*kind.singular_points, *kind.breakpoints)
+                             if lo < p < hi)})
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=400)
 
     def integrand(x):
         return x**power * kind.pdf(x)
 
-    # No moment-table kind has an interior singular point (only the
-    # uniform-angle laws do), so the support needs no splitting.
-    return integrate_1d(integrand, lo, hi, spec)
+    # the uniform-T singular points are logarithmic, so the pieces that end
+    # there converge without an endpoint map
+    return _combine([integrate_1d(integrand, a, b, spec) for a, b in zip(cuts[:-1], cuts[1:])])
 
 
-def _angle_product_moment(family: str, quantity: str, power: int,
-                          tol: float) -> IntegralResult:
-    joint = density.CATALOG[f"{family}_angles_joint"].pdf
-    pair = {"alphabeta": (0, 1), "betagamma": (1, 2), "gammaalpha": (2, 0)}[quantity]
+def joint_integral(tag: str, weight, degree: int = 0, tol: float = 1e-8) -> IntegralResult:
+    """Integral of weight(x, y) f(x, y) over the support of a bivariate
+    catalog density f of two sides (pair_ab, pair_bc) or two angles (the
+    angle joints), x and y being f's own arguments.
 
-    def f(x, y):
-        angles = (x, y, _PI - x - y)
-        return (angles[pair[0]] * angles[pair[1]])**power * joint(x, y)
-
+    The sides run outer b, inner a in (0, 2b) or c in (0, b); the Gaussian
+    tail of b is cut for a weight homogeneous of ``degree`` in the sides.
+    The angles run outer alpha, inner beta in (0, pi - alpha), for the
+    pinned joint its exact support ((pi - alpha)/2, pi - alpha).
+    """
+    pdf = density.CATALOG[tag].pdf
     spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=200)
-    return integrate_2d(f, 0.0, _PI, lambda x: (np.zeros_like(x), _PI - x), spec)
-
-
-def _pair_side_moment(quantity: str, power: int, tol: float) -> IntegralResult:
-    spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=200)
-    b_hi = gaussian_tail_cutoff(_PI, 6 + power)
-    if quantity == "ab":
-        def f(b, a):
-            return (a * b)**power * density.pdf_pair_ab(a, b)
-        return integrate_2d(f, 0.0, b_hi, lambda b: (np.zeros_like(b), 2.0 * b), spec)
-    def f(b, c):
-        return (b * c)**power * density.pdf_pair_bc(b, c)
-    return integrate_2d(f, 0.0, b_hi, lambda b: (np.zeros_like(b), b), spec)
+    if tag == "pair_ab":
+        return integrate_2d(lambda b, a: weight(a, b) * pdf(a, b), 0.0,
+                            gaussian_tail_cutoff(_PI, 3 + degree), lambda b: (0.0, 2.0 * b), spec)
+    if tag == "pair_bc":
+        return integrate_2d(lambda b, c: weight(b, c) * pdf(b, c), 0.0,
+                            gaussian_tail_cutoff(_PI, 3 + degree), lambda b: (0.0, b), spec)
+    if tag == "pinned_angles_joint":
+        def inner(alpha):
+            return 0.5 * (_PI - alpha), _PI - alpha
+    else:
+        def inner(alpha):
+            return 0.0, _PI - alpha
+    return integrate_2d(lambda x, y: weight(x, y) * pdf(x, y), 0.0, _PI, inner, spec)
 
 
 def _combine(results: list[IntegralResult]) -> IntegralResult:
@@ -311,11 +330,18 @@ def by_quadrature(target: MomentTarget, tol: float = 1e-8) -> IntegralResult:
     power = 1 if target.statistic == "mean" else 2
     kind = _marginal_kind(target)
     if kind is not None:
-        return _marginal_moment(kind, power, tol)
+        return kind_integral(kind, power, tol)
     if target.quantity in ("alphabeta", "betagamma", "gammaalpha"):
-        return _angle_product_moment(target.family, target.quantity, power, tol)
+        u, v = _PRODUCTS[target.quantity]
+
+        def weight(alpha, beta):
+            angles = {"alpha": alpha, "beta": beta, "gamma": _PI - alpha - beta}
+            return (angles[u] * angles[v])**power
+        return joint_integral(f"{target.family}_angles_joint", weight, tol=tol)
     if target.quantity in ("ab", "bc"):
-        return _pair_side_moment(target.quantity, power, tol)
+        def weight(x, y):
+            return (x * y)**power
+        return joint_integral(f"pair_{target.quantity}", weight, 2 * power, tol)
     if target.quantity == "ca":
         def weight(a, b, c):
             return (a * c)**power
@@ -335,9 +361,7 @@ def truncated_mean_square(target: MomentTarget, upper: float,
     kind = _marginal_kind(target)
     if kind is None:
         raise ValueError(f"no univariate density for {target}")
-    lo, hi = kind.support[0]
-    spec = QuadratureSpec(abs_tol=0.1 * tol, rel_tol=0.1 * tol, max_subdivisions=400)
-    return integrate_1d(lambda x: x * x * kind.pdf(x), lo, min(upper, hi), spec)
+    return kind_integral(kind, 2, tol, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +399,6 @@ def batch_means(family: str, n: int, rng: RandomStream, reducers: dict,
                                     float(table[:, i].std(ddof=1) / math.sqrt(_BATCHES)),
                                     per_batch * _BATCHES)
             for i, key in enumerate(reducers)}
-
-
-_PRODUCTS = {"alphabeta": ("alpha", "beta"), "betagamma": ("beta", "gamma"),
-             "gammaalpha": ("gamma", "alpha"), "ab": ("a", "b"),
-             "bc": ("b", "c"), "ca": ("c", "a")}
 
 
 def cell_reducer(target: MomentTarget):

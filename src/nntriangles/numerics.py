@@ -125,15 +125,15 @@ class IntegrandError(ValueError):
 class QuadratureSpec:
     """Tolerances and transforms for one integral.
 
-    singularity: 'none', 'left', 'right' or 'both'; any non-'none' value
-    applies the sin^2 endpoint substitution (harmless where the integrand
-    is regular, exact removal where it has an inverse-square-root factor).
+    singular_ends: apply the sin^2 endpoint substitution at both ends
+    (harmless where the integrand is regular, exact removal where it has an
+    inverse-square-root factor); it needs a finite interval.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    singularity: str = "none"
+    singular_ends: bool = False
 
 
 @dataclass(frozen=True)
@@ -369,15 +369,15 @@ def integrate_batch(f: Callable, a, b, spec: QuadratureSpec | None = None) -> Ba
     if infinite.any():
         if not infinite.all():
             raise ValueError("a batch cannot mix finite and infinite upper limits")
-        if spec.singularity != "none":
-            raise ValueError("endpoint singularity flags require a finite interval")
+        if spec.singular_ends:
+            raise ValueError("the endpoint singularity flag requires a finite interval")
 
         def mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
             u = 1.0 - t
             return g(lo[k] + t / u, k) / (u * u)
 
         r = _adaptive(mapped, np.zeros(run.size), np.ones(run.size), spec)
-    elif spec.singularity != "none":
+    elif spec.singular_ends:
         r = _adaptive(_sin2_map(g, lo, hi), np.zeros(run.size),
                       np.full(run.size, 0.5 * math.pi), spec)
     else:

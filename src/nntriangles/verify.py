@@ -54,7 +54,6 @@ from .gof import (
     ks_battery,
     ks_one_sample,
     ks_two_sample,
-    quadrature_pieces,
 )
 from .numerics import (
     CATALAN,
@@ -122,14 +121,6 @@ def suite_passed(results: list[CheckResult]) -> bool:
 # quadrature helpers for the normalization and marginal-consistency groups
 # ---------------------------------------------------------------------------
 
-def _univariate_mass(kind, tol: float) -> IntegralResult:
-    """Total mass of a univariate catalog density, split at its corners."""
-    return moments._combine([
-        integrate_1d(kind.pdf, a, b, QuadratureSpec(abs_tol=0.05 * tol, rel_tol=0.1 * tol,
-                                                    singularity=mode))
-        for a, b, mode in quadrature_pieces(kind, tol)])
-
-
 def _deviation(r: BatchResult, reference, inner=()) -> IntegralResult:
     """The largest |r.value - reference| of a batch, as one result that
     converged only if every integral of the batch, and of ``inner``, did."""
@@ -156,7 +147,7 @@ def _pair_ac_pointwise_deviation() -> IntegralResult:
     c = np.tile([0.05, 0.3, 0.5, 0.8, 1.2, 2.0], 5) * a
     r = integrate_batch(lambda b, k: pdf_pinned_sides_joint(a[k], b, c[k]),
                         np.maximum(c, a - c), a + c,
-                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, singularity="both"))
+                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, singular_ends=True))
     return _deviation(r, pdf_pair_ac(a, c))
 
 
@@ -180,7 +171,7 @@ def _sides_joint_over_a(b: np.ndarray, c: np.ndarray, inner: list) -> np.ndarray
     inner.append(integrate_batch(lambda a, k: pdf_pinned_sides_joint(a, b[k], c[k]),
                                  np.abs(b - c), b + c,
                                  QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
-                                                singularity="both")))
+                                                singular_ends=True)))
     return inner[-1].value
 
 
@@ -302,7 +293,7 @@ def _special_rows(suite: _Suite) -> list[CheckResult]:
                              1.0, 10.0, spec10)
     catalan_quad = integrate_1d(lambda t: -np.log(np.maximum(t, 1e-300)) / (1.0 + t * t),
                                 0.0, 1.0, QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
-                                                         singularity="left"))
+                                                         singular_ends=True))
     return [_near_quadrature("special:bessel-i0-integral-form", "-",
                              bessel_i0(0.5 * _PI), i0_quad, 1e-12),
             _near_quadrature("special:erfc-integral-form", "-", erfc(1.0), erfc_quad, 1e-13),
@@ -312,31 +303,21 @@ def _special_rows(suite: _Suite) -> list[CheckResult]:
 
 def _normalization_rows(suite: _Suite) -> list[CheckResult]:
     """Every catalog density has mass 1; the (a, c) joint is the trivariate one over b."""
-    rows = []
-    for tag, kind in sorted(CATALOG.items()):
-        if kind.arity == 1:
-            tol = 1e-6 if kind.singular_points else 1e-8
-            mass = _univariate_mass(kind, 0.1 * tol)
-            rows.append(_near_quadrature(f"normalization:{tag}", kind.family, 1.0, mass, tol))
+    rows = [_near_quadrature(f"normalization:{tag}", kind.family, 1.0,
+                             moments.kind_integral(kind), 1e-8)
+            for tag, kind in sorted(CATALOG.items()) if kind.arity == 1]
 
-    def mass_2d(tag: str, pdf, hi: float, inner) -> CheckResult:
-        mass = integrate_2d(pdf, 0.0, hi, inner, QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9))
+    def mass_2d(tag: str) -> CheckResult:
+        mass = moments.joint_integral(tag, lambda x, y: 1.0)
         return _near_quadrature(f"normalization:{tag}", CATALOG[tag].family, 1.0, mass, 1e-8)
 
-    b_hi = gaussian_tail_cutoff(_PI, 5, 1e-11)
-    rows.append(mass_2d("pair_ab", lambda b, a: CATALOG["pair_ab"].pdf(a, b), b_hi,
-                        lambda b: (0.0, 2.0 * b)))
-    rows.append(mass_2d("pair_bc", lambda b, c: CATALOG["pair_bc"].pdf(b, c), b_hi,
-                        lambda b: (0.0, b)))
+    rows += [mass_2d("pair_ab"), mass_2d("pair_bc")]
     rows.append(_near_quadrature("normalization:pair_ac_integral", "pinned", 1.0,
                                  _pair_ac_mass(1e-7), 1e-6))
     rows.append(_near_quadrature("consistency:pair_ac_integral-vs-fixed-rule", "pinned",
                                  0.0, _pair_ac_pointwise_deviation(), 1e-8))
-    rows.append(mass_2d("pinned_angles_joint", pdf_pinned_angles_joint, _PI,
-                        lambda a: (0.5 * (_PI - a), _PI - a)))
-    for tag, joint in (("staked_angles_joint", pdf_staked_angles_joint),
-                       ("anchored_angles_joint", pdf_anchored_angles_joint)):
-        rows.append(mass_2d(tag, joint, _PI, lambda a: (0.0, _PI - a)))
+    rows += [mass_2d(tag) for tag in ("pinned_angles_joint", "staked_angles_joint",
+                                      "anchored_angles_joint")]
     (tri_mass,) = moments._pinned_triple(lambda a, b, c: np.ones_like(a), 0,
                                          tol=3e-7, pieces=("full",))
     rows.append(_near_quadrature("normalization:pinned_sides_joint", "pinned", 1.0,

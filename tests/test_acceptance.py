@@ -52,10 +52,9 @@ def run_cli(argv):
 
 
 def test_criterion_01_every_density_normalizes(suite):
-    """Every cataloged density integrates to 1: univariate within 1e-8
-    (1e-6 where the density has an interior divergence or is itself an
-    integral), bivariate within 1e-8 (1e-6 for the integral-form pair),
-    and the trivariate side density within 1e-6."""
+    """Every cataloged density integrates to 1: univariate within 1e-8,
+    bivariate within 1e-8 (1e-6 for the integral-form pair), and the
+    trivariate side density within 1e-6."""
     names = _group(suite, "normalization:")
     assert len(names) == 27
     univariate = [n for n in names if suite[n].family in
@@ -64,8 +63,8 @@ def test_criterion_01_every_density_normalizes(suite):
     assert len(univariate) >= 17
     for name in names:
         assert suite[name].tolerance <= 1e-6
-        if name in ("normalization:pair_ab", "normalization:pair_bc",
-                    "normalization:pinned_angles_joint"):
+        if name in univariate or name in ("normalization:pair_ab", "normalization:pair_bc",
+                                          "normalization:pinned_angles_joint"):
             assert suite[name].tolerance <= 1e-8
     _passed(suite, names)
     _passed(suite, _group(suite, "consistency:pair_ac_integral"))

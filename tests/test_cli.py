@@ -102,6 +102,7 @@ def test_sample_unknown_family():
     ["sample", "--family", "pinned", "--alpha", "0"],
     ["sample", "--family", "pinned", "--alpha", "1.5"],
     ["sample", "--family", "pinned", "--tol", "0"],
+    ["moments", "--family", "staked", "-n", "1000", "--tol", "inf"],
     ["sample", "--family", "pinned", "--format", "xml"],
     ["pdf", "--kind", "pinned_c"],                       # no grid, no points
     ["pdf", "--kind", "pinned_c", "--grid", "0:1:4", "--points", "0.5"],
@@ -452,9 +453,11 @@ def test_unconverged_normalization_fails_its_checks(monkeypatch):
             return dataclasses.replace(result, converged=np.zeros_like(result.converged))
         return wrapped
 
-    # verify integrates by its own bindings, the trivariate mass and the
-    # staked/anchored acuteness through moments.integrate_2d and the
-    # truncated mean squares through moments.integrate_1d
+    # verify integrates the special functions, the pinned acuteness and the
+    # (a, c) mass by its own bindings; the catalog masses and the truncated
+    # mean squares through moments.integrate_1d, and the joint masses, the
+    # trivariate mass and the staked/anchored acuteness through
+    # moments.integrate_2d
     for module, name in ((verify, "integrate_1d"), (verify, "integrate_2d"),
                          (verify, "integrate_batch"), (moments, "integrate_1d"),
                          (moments, "integrate_2d")):
@@ -471,6 +474,18 @@ def test_unconverged_normalization_fails_its_checks(monkeypatch):
          "marginal-consistency:", "truncated-mean-square:", "consistency:pair_ac"))]
     assert len(quadrature) == 19
     assert not any(r.passed for r in quadrature)
+
+
+def test_univariate_masses_are_near_exact():
+    # power tails run to infinity and every piece ends at a singular point
+    # or breakpoint, so the masses come out far inside the 1e-8 tolerance
+    rows = verify._normalization_rows(verify._Suite(2, 2000, 0.001, dict))
+    univariate = [r for r in rows if r.check.startswith("normalization:")
+                  and CATALOG[r.check.split(":")[1]].arity == 1]
+    assert len(univariate) == 20
+    for row in univariate:
+        assert row.tolerance == 1e-8
+        assert abs(row.actual - 1.0) <= 1e-10, row
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -664,7 +679,7 @@ def test_benchmark_tracer_runs_verify(tracing):
 # a deliberate change of any of them re-pins here and says why in CHANGES.md
 PINNED_DIGESTS = [
     pytest.param(["verify", "--seed", "2", *TINY_VERIFY],
-                 "2790195918d2744b3353b85492af2f61c383408118a70e970a024a1e8f3d36ea",
+                 "46b2f8a055c3e1217c095cedd0f2943c5776a4a813c4e09ac48a7fcc2c8e4778",
                  id="verify"),
     pytest.param(["pdf", "--kind", "pair_ac_integral", "--points",
                   "9.907021242543472e-06,1.5910789395764802;0.5,8.871353193234626e-13;"
@@ -673,7 +688,7 @@ PINNED_DIGESTS = [
                  "280689270f34fc55504858874e4df09e71facb8e81cdae266e61d22e29fa7cef",
                  id="pdf-pair_ac"),
     pytest.param(["tables", "-n", "2000", "--tol", "1e-6"],
-                 "8b7b12de725927af9062103a74ef7bd99e588540efd8fd9ee93eb00b9c451a8b",
+                 "17fe52ae62083629de1fd224972b95e44f8ca425ca95b50493af798584949d34",
                  id="tables"),
     *(pytest.param(["sample", "--family", family, "-n", "2000", "--seed", "7"],
                    digest, id=f"sample-{family}") for family, digest in [

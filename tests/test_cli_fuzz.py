@@ -128,8 +128,8 @@ MALFORMED_COMMON = [
     ["--seed=-1"], ["--seed=18446744073709551616"], ["--seed", "x"],
     ["--workers=0"], ["--workers=-2"], ["--workers", "1.5"], ["--format", "xml"],
     ["--alpha", "0"], ["--alpha", "1"], ["--alpha", "nan"], ["--alpha", "x"],
-    ["--tol", "0"], ["--tol=-1e-8"], ["--tol", "nan"], ["--no-such-flag"],
-    ["stray-positional"], ["--seed"],
+    ["--tol", "0"], ["--tol=-1e-8"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--no-such-flag"], ["stray-positional"], ["--seed"],
 ]
 MALFORMED_OWN = {
     "sample": [["-n", "0"], ["-n", "x"], ["--family", "scalene"]],

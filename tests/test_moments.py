@@ -26,6 +26,8 @@ from nntriangles.moments import (
     closed_form,
     correlation_ab,
     expected_ac,
+    joint_integral,
+    kind_integral,
     moment_report,
     reference_value,
     targets,
@@ -167,6 +169,31 @@ def test_truncated_mean_square_grows_logarithmically():
     other = MomentTarget("pinned", "b/a", "mean-square")
     assert truncated_mean_square(other, 100.0).value > \
         truncated_mean_square(other, 10.0).value
+
+
+@pytest.mark.parametrize("tag", sorted(t for t, k in CATALOG.items() if k.arity == 1))
+def test_every_univariate_kind_has_unit_mass(tag):
+    r = kind_integral(CATALOG[tag])
+    assert r.converged
+    assert abs(r.value - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("tag", ["pair_ab", "pair_bc", "pinned_angles_joint",
+                                 "staked_angles_joint", "anchored_angles_joint"])
+def test_every_bivariate_joint_has_unit_mass(tag):
+    r = joint_integral(tag, lambda x, y: 1.0)
+    assert r.converged
+    assert abs(r.value - 1.0) <= 1e-12
+
+
+def test_ratio_means_split_at_their_branch_joins():
+    # c/a and a/c have branches joining at 1/2, 1 and 2; their means by
+    # quadrature meet the Catalan closed forms to quadrature precision
+    for quantity, exact in (("c/a", (1.0 + 2.0 * CATALAN) / PI),
+                            ("a/c", (5.0 + 2.0 * CATALAN) / PI)):
+        r = by_quadrature(MomentTarget("pinned", quantity, "mean"))
+        assert r.converged
+        assert abs(r.value - exact) <= 1e-12
 
 
 # (alpha, t) route of the trivariate pinned integrals, at the tolerances

@@ -26,10 +26,10 @@ BATTERY = [
     (lambda x: np.cos(x), 0.0, 2.0 * PI, {}, 0.0),
     (lambda x: x * np.sin(x), 0.0, 10.0 * PI, {}, -10.0 * PI),
     (lambda x: np.exp(-x), 0.0, 50.0, {}, 1.0 - math.exp(-50.0)),
-    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, {"singularity": "left"}, 2.0),
-    (lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, {"singularity": "right"}, 2.0),
-    (lambda x: np.log(x), 0.0, 1.0, {"singularity": "left"}, -1.0),
-    (lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0, {"singularity": "both"}, PI),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, {"singular_ends": True}, 2.0),
+    (lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0, {"singular_ends": True}, 2.0),
+    (lambda x: np.log(x), 0.0, 1.0, {"singular_ends": True}, -1.0),
+    (lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0, {"singular_ends": True}, PI),
     (lambda x: np.exp(-x * x), 0.0, np.inf, {}, math.sqrt(PI) / 2.0),
     (lambda x: x**3 * np.exp(-PI * x * x), 0.0, np.inf, {}, 1.0 / (2.0 * PI**2)),
     (lambda x: x / (1.0 + x * x) ** 2, 0.0, np.inf, {}, 0.5),
@@ -51,7 +51,7 @@ def test_known_integrals(f, lo, hi, kwargs, exact):
 def test_square_root_edge_pair_is_near_exact():
     # the endpoint substitution turns 1/sqrt((B-x)(x-A)) into a constant
     a_, b_ = 0.3, 1.7
-    spec = QuadratureSpec(singularity="both")
+    spec = QuadratureSpec(singular_ends=True)
     r = integrate_1d(lambda x: 1.0 / np.sqrt((b_ - x) * (x - a_)), a_, b_, spec)
     assert abs(r.value - PI) < 1e-13
 
@@ -71,7 +71,7 @@ def test_nan_integrand_raises():
 def test_singularity_flags_need_finite_interval():
     with pytest.raises(ValueError):
         integrate_1d(lambda x: np.exp(-x), 0.0, np.inf,
-                     QuadratureSpec(singularity="left"))
+                     QuadratureSpec(singular_ends=True))
 
 
 def test_integrate_2d_triangle_area():
@@ -146,7 +146,7 @@ def _assert_matches_separate(batch, lo, hi, spec, f=_wave):
         assert batch[k].neval == alone.neval
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"singularity": "both"}])
+@pytest.mark.parametrize("kwargs", [{}, {"singular_ends": True}])
 def test_batch_matches_separate_runs(kwargs):
     lo = np.array([0.0, 0.2, -1.0, 0.0, 0.1])
     hi = np.array([1.0, 3.0, 2.0, 10.0, 0.15])
@@ -157,8 +157,8 @@ def test_batch_matches_separate_runs(kwargs):
     _assert_matches_separate(r, lo, hi, spec)
 
 
-@pytest.mark.parametrize("singularity", ["none", "both"])
-def test_batch_with_ragged_random_rates_matches_separate_runs(singularity):
+@pytest.mark.parametrize("singular_ends", [False, True], ids=["none", "both"])
+def test_batch_with_ragged_random_rates_matches_separate_runs(singular_ends):
     # many integrals of uneven difficulty, so sweeps carry ragged panel sets
     rng = np.random.default_rng(11)
     count = 40
@@ -170,7 +170,7 @@ def test_batch_with_ragged_random_rates_matches_separate_runs(singularity):
     def f(x, k):
         return np.exp(-rates[k] * x) * (1.5 + np.sin(freqs[k] * x))
 
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singularity=singularity)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, singular_ends=singular_ends)
     r = integrate_batch(f, lo, hi, spec)
     assert len(set(r.subdivisions.tolist())) > 5
     _assert_matches_separate(r, lo, hi, spec, f)
